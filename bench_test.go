@@ -189,6 +189,38 @@ func BenchmarkActivityFromMarginals(b *testing.B) {
 	}
 }
 
+// BenchmarkStableFPPriorFor100 measures the steady-state per-bin cost
+// of the stable-fP prior at n=100: one reused instance, so the eq. 8
+// decomposition is paid before the timer starts and each op is the two
+// dense passes of (QΦ)⁺ plus the model evaluation.
+func BenchmarkStableFPPriorFor100(b *testing.B) { benchStableFPPriorFor(b, false) }
+
+// BenchmarkStableFPPriorForFresh100 is the same bin through a new
+// instance per op, so every op pays the full decomposition: the per-bin
+// cost a prior re-read from the store (or a v1 inline request) pays.
+func BenchmarkStableFPPriorForFresh100(b *testing.B) { benchStableFPPriorFor(b, true) }
+
+func benchStableFPPriorFor(b *testing.B, fresh bool) {
+	d := benchSeries(b, 100, 2)
+	x := d.Series.At(0)
+	ing, eg := x.Ingress(), x.Egress()
+	prior := &StableFPPrior{F: 0.25, Pref: d.TruePref}
+	if _, err := prior.PriorFor(0, ing, eg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := prior
+		if fresh {
+			p = &StableFPPrior{F: 0.25, Pref: d.TruePref}
+		}
+		if _, err := p.PriorFor(0, ing, eg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTomogravityProject measures one projection step with a
 // cached routing factorization (the per-bin cost of estimation).
 func BenchmarkTomogravityProject(b *testing.B) {

@@ -55,24 +55,53 @@ func Phi(f float64, pref []float64) (*linalg.Matrix, error) {
 //	(QΦ)[i, k]      = f·δ_{ki} + (1-f)·p_i     (ingress rows)
 //	(QΦ)[n+i, k]    = f·p_i    + (1-f)·δ_{ki}  (egress rows)
 //
-// The function returns the estimated activities for one bin; callers loop
-// over bins. Negative estimates (possible under noise) are clamped to 0.
+// The function returns the estimated activities for one bin; callers
+// looping over bins with a fixed (f, P) should build an ActivityInverse
+// once instead, which gives bitwise the same result without repeating
+// the decomposition. Negative estimates (possible under noise) are
+// clamped to 0.
 func ActivityFromMarginals(f float64, pref, ingress, egress []float64) ([]float64, error) {
-	n := len(pref)
-	if n == 0 {
-		return nil, fmt.Errorf("%w: empty preference vector", ErrParams)
+	inv, err := NewActivityInverse(f, pref)
+	if err != nil {
+		return nil, err
 	}
-	if len(ingress) != n || len(egress) != n {
-		return nil, fmt.Errorf("%w: marginals %d/%d for n=%d", ErrParams, len(ingress), len(egress), n)
-	}
+	return inv.Activities(ingress, egress)
+}
+
+// ActivityInverse is the eq. 8 operator (QΦ)⁺ for one fixed (f, P),
+// held as the SVD of QΦ: the decomposition depends on (f, P) only, so
+// it is paid once and every bin costs two dense 2n x n passes. It is
+// immutable after construction and safe for concurrent use.
+type ActivityInverse struct {
+	n   int
+	svd *linalg.SVD
+}
+
+// NewActivityInverse decomposes QΦ for the given (f, P), failing with
+// ErrParams on invalid parameters.
+func NewActivityInverse(f float64, pref []float64) (*ActivityInverse, error) {
 	qphi, err := QPhi(f, pref)
 	if err != nil {
 		return nil, err
 	}
+	svd, err := linalg.NewSVD(qphi)
+	if err != nil {
+		return nil, fmt.Errorf("core: activity pinv solve: %w", err)
+	}
+	return &ActivityInverse{n: len(pref), svd: svd}, nil
+}
+
+// Activities returns one bin's eq. 8 activity estimate from its ingress
+// and egress node counts, negatives clamped to 0.
+func (inv *ActivityInverse) Activities(ingress, egress []float64) ([]float64, error) {
+	n := inv.n
+	if len(ingress) != n || len(egress) != n {
+		return nil, fmt.Errorf("%w: marginals %d/%d for n=%d", ErrParams, len(ingress), len(egress), n)
+	}
 	b := make([]float64, 2*n)
 	copy(b[:n], ingress)
 	copy(b[n:], egress)
-	a, err := linalg.SolveMinNorm(qphi, b, 0)
+	a, err := inv.svd.SolveMinNorm(b, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: activity pinv solve: %w", err)
 	}

@@ -117,6 +117,49 @@ func TestActivityFromMarginalsShapeErrors(t *testing.T) {
 	}
 }
 
+// One ActivityInverse serves every bin of a fixed (f, P) bitwise equal
+// to the one-shot ActivityFromMarginals, and rejects what it rejects.
+func TestActivityInverseMatchesOneShot(t *testing.T) {
+	p := rng.New(33)
+	params := randParams(p, 9)
+	inv, err := NewActivityInverse(params.F, params.Pref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bin := 0; bin < 5; bin++ {
+		ing := make([]float64, 9)
+		eg := make([]float64, 9)
+		for i := range ing {
+			ing[i] = p.LogNormal(10, 1)
+			eg[i] = p.LogNormal(10, 1)
+		}
+		want, err := ActivityFromMarginals(params.F, params.Pref, ing, eg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := inv.Activities(ing, eg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("bin %d: activity %d = %v, want %v", bin, i, got[i], want[i])
+			}
+		}
+	}
+	if _, err := inv.Activities(make([]float64, 9), make([]float64, 8)); !errors.Is(err, ErrParams) {
+		t.Errorf("marginal length mismatch: err = %v, want ErrParams", err)
+	}
+	for _, bad := range []struct {
+		f    float64
+		pref []float64
+	}{{0.3, nil}, {1.5, []float64{1, 1}}, {0.3, []float64{0, 0}}, {0.3, []float64{1, -1}}} {
+		if _, err := NewActivityInverse(bad.f, bad.pref); !errors.Is(err, ErrParams) {
+			t.Errorf("NewActivityInverse(%g, %v): err = %v, want ErrParams", bad.f, bad.pref, err)
+		}
+	}
+}
+
 // Eqs. 11-12 must exactly invert noise-free model marginals.
 func TestMarginalInversionRecovers(t *testing.T) {
 	p := rng.New(33)

@@ -19,6 +19,7 @@ package estimation
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"ictm/internal/core"
 	"ictm/internal/gravity"
@@ -71,17 +72,33 @@ func (p *ICOptimalPrior) PriorFor(t int, _, _ []float64) (*tm.TrafficMatrix, err
 // StableFPPrior holds a previously calibrated (f, P) and estimates the
 // current bin's activities from the observed marginals via the
 // pseudo-inverse of eq. 8 (Section 6.2, Fig. 12).
+//
+// The eq. 8 operator depends on (f, P) alone, so the first PriorFor
+// decomposes it once (core.NewActivityInverse) and every later bin
+// reuses the decomposition; concurrent first calls are safe. F and Pref
+// must therefore not be mutated after the first PriorFor. The cached
+// decomposition holds 3n²+n floats, about 240 KB at n=100 — three times
+// a FanoutPrior's n² state.
 type StableFPPrior struct {
 	F    float64
 	Pref []float64
+
+	once sync.Once
+	inv  *core.ActivityInverse
+	err  error
 }
 
 // Name implements Prior.
 func (p *StableFPPrior) Name() string { return "ic-stable-fP" }
 
-// PriorFor implements Prior.
+// PriorFor implements Prior. An invalid (F, Pref) fails with the same
+// error on every call.
 func (p *StableFPPrior) PriorFor(_ int, ingress, egress []float64) (*tm.TrafficMatrix, error) {
-	act, err := core.ActivityFromMarginals(p.F, p.Pref, ingress, egress)
+	p.once.Do(func() { p.inv, p.err = core.NewActivityInverse(p.F, p.Pref) })
+	if p.err != nil {
+		return nil, p.err
+	}
+	act, err := p.inv.Activities(ingress, egress)
 	if err != nil {
 		return nil, err
 	}

@@ -57,10 +57,17 @@ func (ps PriorState) Prior(n int) (Prior, error) {
 		if len(ps.Pref) != n {
 			return nil, fmt.Errorf("%w: pref vector of %d for n=%d", ErrInput, len(ps.Pref), n)
 		}
+		var sum float64
 		for i, p := range ps.Pref {
-			if math.IsNaN(p) || p < 0 {
+			if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
 				return nil, fmt.Errorf("%w: pref[%d]=%g", ErrInput, i, p)
 			}
+			sum += p
+		}
+		// Eq. 8 normalizes by the sum: zero (or an overflowing total)
+		// would fail every bin, so it fails registration instead.
+		if sum <= 0 || math.IsInf(sum, 1) {
+			return nil, fmt.Errorf("%w: pref sums to %g, want a finite positive total", ErrInput, sum)
 		}
 		return &StableFPPrior{F: ps.F, Pref: ps.Pref}, nil
 	case "fanout":

@@ -96,6 +96,10 @@ func TestPriorStateRejectsMalformed(t *testing.T) {
 		{"pref n mismatch", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{1, 2}}, 4, "pref vector of 2 for n=4"},
 		{"pref negative", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{1, 2, -1, 3}}, 4, "pref[2]"},
 		{"pref NaN", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{1, 2, math.NaN(), 3}}, 4, "pref[2]"},
+		{"pref +Inf", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{1, 2, math.Inf(1), 3}}, 4, "pref[2]"},
+		{"pref -Inf", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{1, 2, math.Inf(-1), 3}}, 4, "pref[2]"},
+		{"pref all zero", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{0, 0, 0, 0}}, 4, "pref sums to 0"},
+		{"pref sum overflows", PriorState{Name: "ic-stable-fP", F: 0.3, Pref: []float64{math.MaxFloat64, math.MaxFloat64, 0, 0}}, 4, "pref sums to +Inf"},
 
 		// Fanout history shape and content.
 		{"fanout missing", PriorState{Name: "fanout"}, 2, "fanout of 0 rows"},

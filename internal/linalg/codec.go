@@ -25,6 +25,14 @@ const sparseCodecVersion = 1
 // nnz as little-endian uint64s.
 const sparseHeaderLen = 1 + 3*8
 
+// MaxDecodeDim bounds the row and column counts DecodeSparse accepts.
+// Rows are paid for by the payload (one row pointer each), columns are
+// not: a consumer allocates a Cols()-length vector per solve, so an
+// unbounded cols field lets a few corrupt header bytes cost gigabytes
+// downstream. 2^20 columns is an 8 MiB vector, well above the n²=40000
+// columns of an n=200 routing matrix.
+const MaxDecodeDim = 1 << 20
+
 // AppendBinary appends the versioned binary encoding of s to buf and
 // returns the extended slice. The layout (all integers little-endian
 // uint64, values as IEEE-754 bit patterns) is
@@ -76,10 +84,9 @@ func DecodeSparse(data []byte) (*Sparse, error) {
 	nnz := binary.LittleEndian.Uint64(data[17:])
 	// Bound the dimensions before computing the expected length so the
 	// size arithmetic cannot overflow and a forged header cannot trigger
-	// a huge allocation: every legitimate field is far below 2^32.
-	const maxDim = 1 << 32
-	if rows >= maxDim || cols >= maxDim || nnz >= maxDim {
-		return nil, fmt.Errorf("%w: implausible dimensions %dx%d nnz=%d", ErrDecode, rows, cols, nnz)
+	// a huge allocation, here or in a consumer sizing vectors by Cols().
+	if rows > MaxDecodeDim || cols > MaxDecodeDim || nnz >= 1<<32 {
+		return nil, fmt.Errorf("%w: implausible dimensions %dx%d nnz=%d (limit %d per side)", ErrDecode, rows, cols, nnz, MaxDecodeDim)
 	}
 	if nnz > rows*cols {
 		return nil, fmt.Errorf("%w: nnz=%d exceeds %dx%d", ErrDecode, nnz, rows, cols)

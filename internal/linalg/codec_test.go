@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -158,11 +159,25 @@ func TestSparseDecodeRejectsForgedHeaders(t *testing.T) {
 	if _, err := DecodeSparse([]byte{99}); !errors.Is(err, ErrDecode) {
 		t.Fatalf("wrong version: err = %v, want ErrDecode", err)
 	}
+	// Columns carry no payload, so only MaxDecodeDim bounds them: the
+	// limit itself decodes, one past it does not.
+	for _, cols := range []uint64{MaxDecodeDim, MaxDecodeDim + 1} {
+		mut := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(mut[9:], cols)
+		back, err := DecodeSparse(mut)
+		if cols <= MaxDecodeDim && (err != nil || back.Cols() != int(cols)) {
+			t.Fatalf("cols=%d at the limit: err = %v", cols, err)
+		}
+		if cols > MaxDecodeDim && !errors.Is(err, ErrDecode) {
+			t.Fatalf("cols=%d past the limit: err = %v, want ErrDecode", cols, err)
+		}
+	}
 }
 
 // FuzzSparseDecode: DecodeSparse is total over arbitrary input — it
 // returns (matrix, nil) or (nil, ErrDecode), never panics, and anything
-// it accepts survives a canonical re-encode round trip.
+// it accepts respects the MaxDecodeDim cap and survives a canonical
+// re-encode round trip.
 func FuzzSparseDecode(f *testing.F) {
 	r := rand.New(rand.NewSource(44))
 	f.Add([]byte{})
@@ -178,6 +193,9 @@ func FuzzSparseDecode(f *testing.F) {
 				t.Fatalf("err = %v, want ErrDecode", err)
 			}
 			return
+		}
+		if s.Rows() > MaxDecodeDim || s.Cols() > MaxDecodeDim {
+			t.Fatalf("accepted %dx%d past the %d-per-side cap", s.Rows(), s.Cols(), MaxDecodeDim)
 		}
 		enc := s.AppendBinary(nil)
 		back, err := DecodeSparse(enc)

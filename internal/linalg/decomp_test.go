@@ -335,6 +335,54 @@ func TestSolveMinNormMatchesPInv(t *testing.T) {
 	}
 }
 
+// TestSVDSolveMinNormReusesDecomposition: one decomposition serves any
+// number of right-hand sides, each bitwise equal to the one-shot
+// SolveMinNorm that decomposes afresh, and solving never mutates the
+// receiver — on tall, wide, rank-deficient and zero matrices.
+func TestSVDSolveMinNormReusesDecomposition(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	rankOne, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {2, 4, 6}, {-1, -2, -3}, {3, 6, 9}})
+	cases := []struct {
+		name string
+		a    *Matrix
+	}{
+		{"tall", randomMatrix(r, 9, 4)},
+		{"wide", randomMatrix(r, 3, 7)},
+		{"rank-deficient", rankOne},
+		{"zero", NewMatrix(5, 3)},
+	}
+	for _, tc := range cases {
+		d, err := NewSVD(tc.a)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for rhs := 0; rhs < 3; rhs++ {
+			b := make([]float64, tc.a.Rows())
+			for i := range b {
+				b[i] = r.NormFloat64()
+			}
+			want, err := SolveMinNorm(tc.a, b, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for call := 0; call < 2; call++ {
+				got, err := d.SolveMinNorm(b, 0)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s rhs %d call %d: x[%d] = %v, want %v", tc.name, rhs, call, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if _, err := d.SolveMinNorm(make([]float64, tc.a.Rows()+1), 0); !errors.Is(err, ErrShape) {
+			t.Errorf("%s: mis-sized b: err = %v, want ErrShape", tc.name, err)
+		}
+	}
+}
+
 func TestLstSqConsistentSystem(t *testing.T) {
 	a, _ := NewMatrixFromRows([][]float64{{1, 0}, {0, 2}, {1, 1}})
 	want := []float64{2, 3}

@@ -28,6 +28,12 @@ const matrixCodecVersion = 1
 // little-endian uint64s.
 const matrixHeaderLen = 1 + 2*8
 
+// MaxDecodeNodes bounds the network size DecodeMatrix accepts: n² is
+// the CSR's column count, so the cap is the square root of
+// linalg.MaxDecodeDim. A solver sizes its n²-length vectors from the
+// decoded n, so the bound must hold before any consumer sees it.
+const MaxDecodeNodes = 1 << 10
+
 // AppendBinary appends the versioned binary encoding of m to buf and
 // returns the extended slice:
 //
@@ -58,11 +64,10 @@ func DecodeMatrix(data []byte) (*Matrix, error) {
 	}
 	n := binary.LittleEndian.Uint64(data[1:])
 	l := binary.LittleEndian.Uint64(data[9:])
-	// The CSR decoder bounds its own dimensions; bounding n and l the
-	// same way keeps the consistency arithmetic below overflow-free.
-	const maxDim = 1 << 32
-	if n == 0 || n >= maxDim || l >= maxDim {
-		return nil, fmt.Errorf("%w: implausible layout n=%d l=%d", ErrDecode, n, l)
+	// The CSR decoder bounds its own dimensions; bounding n and l before
+	// it runs keeps the consistency arithmetic below overflow-free.
+	if n == 0 || n > MaxDecodeNodes || l > linalg.MaxDecodeDim {
+		return nil, fmt.Errorf("%w: implausible layout n=%d l=%d (limit n=%d)", ErrDecode, n, l, MaxDecodeNodes)
 	}
 	csr, err := linalg.DecodeSparse(data[matrixHeaderLen:])
 	if err != nil {

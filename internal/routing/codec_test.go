@@ -2,9 +2,12 @@ package routing
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
+	"ictm/internal/linalg"
 	"ictm/internal/tm"
 	"ictm/internal/topology"
 )
@@ -98,5 +101,33 @@ func TestDecodeMatrixRejectsMalformed(t *testing.T) {
 	}
 	if _, err := DecodeMatrix(bad); !errors.Is(err, ErrDecode) {
 		t.Fatalf("n=0: err = %v, want ErrDecode", err)
+	}
+}
+
+// TestDecodeMatrixBoundsNodes: a header claiming more than
+// MaxDecodeNodes nodes — such as an n just under 2^16, whose n² columns
+// a solver would allocate as vectors — fails on the layout check before
+// the CSR is even parsed, and the node cap is exactly the one the CSR
+// column cap implies.
+func TestDecodeMatrixBoundsNodes(t *testing.T) {
+	if MaxDecodeNodes*MaxDecodeNodes != linalg.MaxDecodeDim {
+		t.Fatalf("MaxDecodeNodes²=%d, want linalg.MaxDecodeDim=%d", MaxDecodeNodes*MaxDecodeNodes, linalg.MaxDecodeDim)
+	}
+	g, err := topology.Waxman(8, 0.6, 0.4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Build(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := m.AppendBinary(nil)
+	for _, n := range []uint64{MaxDecodeNodes + 1, 1<<16 - 1} {
+		bad := append([]byte(nil), enc...)
+		binary.LittleEndian.PutUint64(bad[1:], n)
+		_, err := DecodeMatrix(bad)
+		if !errors.Is(err, ErrDecode) || !strings.Contains(err.Error(), "implausible layout") {
+			t.Fatalf("n=%d: err = %v, want the implausible-layout ErrDecode", n, err)
+		}
 	}
 }

@@ -156,6 +156,26 @@ func TestHTTPV2ResourceLifecycle(t *testing.T) {
 	}
 }
 
+// TestHTTPV2RejectsUnservablePref: a stable-fP prior whose preference
+// vector sums to zero would fail every bin, so registration refuses it
+// with 400 and nothing is registered.
+func TestHTTPV2RejectsUnservablePref(t *testing.T) {
+	sc, _ := testScenario(t)
+	srv, eng := newTestServer(t, 1, sc)
+	if resp := putJSON(t, srv.URL+"/v2/topologies/isp12", sc.Topology()); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT topology: %d", resp.StatusCode)
+	}
+	resp := postJSON(t, srv.URL+"/v2/topologies/isp12/priors",
+		estimation.PriorState{Name: "ic-stable-fP", F: 0.25, Pref: make([]float64, sc.N)})
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "pref sums to 0") {
+		t.Fatalf("POST all-zero pref: %d %s, want 400 naming the preference sum", resp.StatusCode, body)
+	}
+	if info, err := eng.Topology("isp12"); err != nil || info.Priors != 0 {
+		t.Fatalf("topology after rejected prior: %+v, %v; want no priors", info, err)
+	}
+}
+
 // TestHTTPV2RoundTripBitwise is the acceptance criterion at the handler
 // level: register topology + prior by handle, stream bins over NDJSON,
 // and assert every served estimate is bit-identical to in-process

@@ -1045,8 +1045,11 @@ func (e *Engine) Open(ctx context.Context, s SessionSpec) (*Stream, error) {
 // reuses) the topology's pooled estimator, and starts the estimation
 // pipeline — re-validating the prior state on every call, which is
 // exactly the per-request cost the register-once API (Open with a
-// SessionSpec) removes. It remains as the engine face of the v1 wire
-// protocol.
+// SessionSpec) removes. The prior is a fresh instance per request, so
+// an ic-stable-fP prior pays its one eq. 8 decomposition (a Jacobi SVD
+// of the 2n x n operator, ~50 ms at n=100) on every v1 request, where a
+// registered v2 handle pays it once. It remains as the engine face of
+// the v1 wire protocol.
 func (e *Engine) OpenInline(ctx context.Context, spec StreamSpec) (*Stream, error) {
 	if err := e.checkAccepting(); err != nil {
 		return nil, err
