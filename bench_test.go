@@ -249,7 +249,7 @@ func BenchmarkTomogravityProject(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.Project(prior, y); err != nil {
+		if _, _, err := solver.Project(prior, y, nil, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -523,14 +523,14 @@ func benchWeightedSetup(b *testing.B) (*estimation.Solver, *TrafficMatrix, []flo
 	return solver, prior, y
 }
 
-// BenchmarkProjectWeightedDense measures the legacy per-bin dense-SVD
-// weighted projection (the pre-PR 2 implementation, kept as reference).
+// BenchmarkProjectWeightedDense measures the weighted dense reference
+// projection (a fresh per-bin SVD of R·W^{1/2}).
 func BenchmarkProjectWeightedDense(b *testing.B) {
 	solver, prior, y := benchWeightedSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.ProjectWeightedDense(prior, y); err != nil {
+		if _, err := solver.ProjectDense(prior, y, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -544,7 +544,7 @@ func BenchmarkProjectWeightedLSQR(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := solver.ProjectWeighted(prior, y); err != nil {
+		if _, _, err := solver.Project(prior, y, nil, true); err != nil {
 			b.Fatal(err)
 		}
 	}

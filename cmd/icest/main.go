@@ -53,9 +53,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		weeks     = fs.Int("weeks", 2, "weeks to generate (week 0 calibrates, week 1 is estimated)")
 		scale     = fs.Float64("scale", 0.25, "bins-per-week scale factor (1 = full paper scale)")
 		seed      = fs.Uint64("seed", 0, "override scenario seed (0 = preset default)")
-		dense     = fs.Bool("dense", false, "force the dense SVD reference path for the unweighted step (cross-check; pays the one-time factorization the default path avoids)")
-		weighted  = fs.Bool("weighted", false, "use prior-weighted tomogravity (sparse LSQR fast path)")
-		wDense    = fs.Bool("weighted-dense", false, "force the legacy dense per-bin SVD for the weighted step (reference; markedly slower)")
+		dense     = fs.Bool("dense", false, "force the dense SVD reference path for the projection step (cross-check; pays the factorization the default path avoids, once per bin with -weighted)")
+		weighted  = fs.Bool("weighted", false, "use prior-weighted tomogravity (sparse LSQR fast path, or the weighted dense reference with -dense)")
 		linkNoise = fs.Float64("linknoise", 0, "multiplicative lognormal noise sigma on link loads")
 		flaps     = fs.Int("flaps", 0, `link-flap events scheduled over the estimated week ("isp" family only; 0 = steady topology)`)
 		workers   = fs.Int("workers", 0, "concurrent workers for generation, fitting and estimation (0 = all CPUs, 1 = sequential); results are identical for any value")
@@ -68,9 +67,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if *dense && (*weighted || *wDense) {
-		return fmt.Errorf("-dense applies to the unweighted step and is incompatible with -weighted/-weighted-dense")
-	}
 	if *scenario != "isp" {
 		cliflag.WarnIgnored(fs, stderr, "icest", fmt.Sprintf("with -scenario %s", *scenario), "n", "flaps")
 	}
@@ -166,7 +162,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// priors are the only per-call variation.
 	estimator, err := estimation.NewEstimator(rm,
 		estimation.WithWeighted(*weighted),
-		estimation.WithWeightedDense(*wDense),
 		estimation.WithDense(*dense),
 		estimation.WithLinkNoise(*linkNoise, sc.Seed),
 		estimation.WithWorkers(*workers),
@@ -205,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				p.Name(), rs.WeightedDenseFallbacks, rs.Bins)
 		}
 		if rs.ProjectStalls > 0 {
-			fmt.Fprintf(stderr, "icest: prior %q: %d/%d bins stalled in the unweighted LSQR solve (dense reference used when affordable, almost-converged iterate otherwise)\n",
+			fmt.Fprintf(stderr, "icest: prior %q: %d/%d bins stalled in the LSQR solve (unweighted: dense reference used when affordable; otherwise the almost-converged iterate)\n",
 				p.Name(), rs.ProjectStalls, rs.Bins)
 		}
 	}

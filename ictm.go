@@ -233,10 +233,6 @@ type (
 	// FanoutPrior is the choice-model baseline (calibrated per-origin
 	// destination shares).
 	FanoutPrior = estimation.FanoutPrior
-	// EstimationOptions tune the deprecated free-function pipeline entry
-	// points. New code configures an Estimator with functional options
-	// (WithWorkers, WithWeighted, ...).
-	EstimationOptions = estimation.Options
 	// EstimationRunStats aggregates per-run IPF diagnostics.
 	EstimationRunStats = estimation.RunStats
 
@@ -264,9 +260,8 @@ var (
 	WithWorkers = estimation.WithWorkers
 	// WithWeighted selects the prior-weighted tomogravity projection.
 	WithWeighted = estimation.WithWeighted
-	// WithWeightedDense selects the dense reference weighted projection.
-	WithWeightedDense = estimation.WithWeightedDense
-	// WithDense selects the dense reference unweighted projection.
+	// WithDense selects the dense reference projection for the
+	// configured objective (unweighted, or weighted with WithWeighted).
 	WithDense = estimation.WithDense
 	// WithSkipIPF disables the marginal-fitting step 3.
 	WithSkipIPF = estimation.WithSkipIPF
@@ -289,15 +284,6 @@ func NewEstimator(rm *RoutingMatrix, opts ...EstimatorOption) (*Estimator, error
 
 // NewFanoutPrior calibrates a fanout prior from a historical series.
 var NewFanoutPrior = estimation.NewFanoutPrior
-
-// EstimateTMs runs the three-step estimation pipeline over a series.
-//
-// Deprecated: use NewEstimator and Estimator.EstimateSeries, which
-// return the same estimates and errors inside a SeriesResult.
-func EstimateTMs(rm *RoutingMatrix, truth *TMSeries, prior Prior, opts EstimationOptions) (*TMSeries, []float64, error) {
-	//lint:ignore SA1019 deprecated wrapper delegates to its deprecated twin so the Options conversion lives in one place
-	return estimation.Run(rm, truth, prior, opts)
-}
 
 // IPF rescales a matrix to the given row/column totals (step 3). On
 // non-convergence it returns an error wrapping ErrIPFNoConverge; the

@@ -45,21 +45,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("errs = %d, want %d", len(r.Errors), d.Series.Len())
 	}
 
-	// The deprecated free-function facade must keep returning the same
-	// series while call sites migrate.
-	series, errs, err := EstimateTMs(rm, d.Series, &ICOptimalPrior{Params: res.Params}, EstimationOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(errs) != len(r.Errors) || series.Len() != r.Estimates.Len() {
-		t.Fatalf("deprecated wrapper diverged: %d/%d bins", len(errs), series.Len())
-	}
-	for i := range errs {
-		if math.Float64bits(errs[i]) != math.Float64bits(r.Errors[i]) {
-			t.Fatalf("bin %d: wrapper error %g != estimator error %g", i, errs[i], r.Errors[i])
-		}
-	}
-
 	// A prior registered through the session handle API estimates
 	// identically to its hand-built counterpart.
 	reg, err := est.RegisterPrior(PriorState{Name: "ic-stable-fP", F: res.Params.F, Pref: res.Params.Pref})

@@ -64,6 +64,21 @@ func fixture(t *testing.T, n, T int, noise float64, seed uint64) (*routing.Matri
 	return rm, noisy, sp
 }
 
+// estimateSeries runs truth through a fresh Estimator built with opts
+// and returns the series result, failing the test on any error.
+func estimateSeries(t *testing.T, rm *routing.Matrix, truth *tm.Series, prior Prior, opts ...Option) *SeriesResult {
+	t.Helper()
+	est, err := NewEstimator(rm, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := est.EstimateSeries(truth, prior)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestProjectSatisfiesConstraints(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 3, 0.2, 1)
 	solver, err := NewSolver(rm)
@@ -80,7 +95,7 @@ func TestProjectSatisfiesConstraints(t *testing.T) {
 		for k := range prior.Vec() {
 			prior.Vec()[k] = 1
 		}
-		est, err := solver.Project(prior, y)
+		est, _, err := solver.Project(prior, y, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +121,7 @@ func TestProjectKeepsPerfectPrior(t *testing.T) {
 	}
 	x := truth.At(0)
 	y, _ := rm.LinkLoads(x)
-	est, err := solver.Project(x.Clone(), y)
+	est, _, err := solver.Project(x.Clone(), y, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +137,17 @@ func TestProjectShapeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := solver.Project(tm.New(5), make([]float64, rm.Rows())); !errors.Is(err, ErrInput) {
+	if _, _, err := solver.Project(tm.New(5), make([]float64, rm.Rows()), nil, false); !errors.Is(err, ErrInput) {
 		t.Error("wrong prior size must fail")
 	}
-	if _, err := solver.Project(tm.New(8), make([]float64, 3)); !errors.Is(err, ErrInput) {
+	if _, _, err := solver.Project(tm.New(8), make([]float64, 3), nil, false); !errors.Is(err, ErrInput) {
 		t.Error("wrong y size must fail")
+	}
+	if _, _, err := solver.Project(tm.New(8), make([]float64, rm.Rows()), make([]bool, 3), true); !errors.Is(err, ErrInput) {
+		t.Error("wrong row mask size must fail")
+	}
+	if _, err := solver.ProjectDense(tm.New(5), make([]float64, rm.Rows()), true); !errors.Is(err, ErrInput) {
+		t.Error("wrong prior size must fail on the dense reference")
 	}
 }
 
@@ -258,10 +279,7 @@ func TestICPriorsExactOnCleanData(t *testing.T) {
 
 func TestRunPipelinePerfectOnCleanData(t *testing.T) {
 	rm, truth, sp := fixture(t, 9, 3, 0, 5)
-	_, errs, err := Run(rm, truth, &StableFPPrior{F: sp.F, Pref: sp.Pref}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errs := estimateSeries(t, rm, truth, &StableFPPrior{F: sp.F, Pref: sp.Pref}).Errors
 	for tb, e := range errs {
 		if e > 1e-6 {
 			t.Errorf("bin %d: pipeline error %g on clean data", tb, e)
@@ -286,11 +304,15 @@ func TestPriorOrdering(t *testing.T) {
 		&StableFPPrior{F: sp.F, Pref: sp.Pref},
 		&StableFPrior{F: sp.F},
 	}
-	res, err := Compare(rm, truth, priors, Options{})
+	est, err := NewEstimator(rm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := func(name string) float64 { return stats.Mean(res[name]) }
+	res, err := est.Compare(truth, priors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := func(name string) float64 { return stats.Mean(res[name].Errors) }
 	grav := mean("gravity")
 	opt := mean("ic-optimal")
 	fp := mean("ic-stable-fP")
@@ -313,10 +335,7 @@ func TestPriorOrdering(t *testing.T) {
 
 func TestEstimatePreservesMarginals(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 2, 0.2, 7)
-	est, _, err := Run(rm, truth, GravityPrior{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := estimateSeries(t, rm, truth, GravityPrior{}).Estimates
 	for tb := 0; tb < truth.Len(); tb++ {
 		wantIng := truth.At(tb).Ingress()
 		gotIng := est.At(tb).Ingress()
@@ -330,14 +349,8 @@ func TestEstimatePreservesMarginals(t *testing.T) {
 
 func TestSkipIPFOption(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 1, 0.2, 8)
-	_, errsWith, err := Run(rm, truth, GravityPrior{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errsWithout, err := Run(rm, truth, GravityPrior{}, Options{SkipIPF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsWith := estimateSeries(t, rm, truth, GravityPrior{}).Errors
+	errsWithout := estimateSeries(t, rm, truth, GravityPrior{}, WithSkipIPF(true)).Errors
 	if len(errsWith) != len(errsWithout) {
 		t.Fatal("length mismatch")
 	}
@@ -354,7 +367,11 @@ func TestRunShapeMismatch(t *testing.T) {
 	rm, _, _ := fixture(t, 8, 1, 0, 9)
 	wrong := tm.NewSeries(5, 300)
 	_ = wrong.Append(tm.New(5))
-	if _, _, err := Run(rm, wrong, GravityPrior{}, Options{}); !errors.Is(err, ErrInput) {
+	est, err := NewEstimator(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.EstimateSeries(wrong, GravityPrior{}); !errors.Is(err, ErrInput) {
 		t.Error("mismatched series must fail")
 	}
 }

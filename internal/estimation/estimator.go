@@ -15,9 +15,6 @@ import (
 // resource a sweep needs — the tomogravity Solver, the worker bound,
 // the link-noise policy and the IPF settings — so per-call signatures
 // carry only the data that changes (the prior and the observations).
-// It replaces the former Run/RunWithSolver/RunWithSolverStats/Compare/
-// CompareStats free-function sprawl, which survives as deprecated
-// wrappers over this type.
 //
 // An Estimator is safe for concurrent use: its configuration is fixed
 // at construction (With derives a new value instead of mutating) and
@@ -26,7 +23,7 @@ import (
 // pipeline promises.
 type Estimator struct {
 	solver *Solver
-	opts   Options
+	opts   options
 	// reg records the session's registered priors (state + instance) so
 	// Rebase can carry them onto a new routing substrate. Shared across
 	// With-derived estimators: they are one session over one solver.
@@ -62,41 +59,31 @@ func (r *priorRegistry) snapshot() []registeredPrior {
 
 // Option configures an Estimator at construction (NewEstimator) or
 // derivation (With).
-type Option func(*Options)
+type Option func(*options)
 
 // WithWorkers bounds how many bins (EstimateSeries) or priors (Compare)
 // are estimated concurrently: 0 selects GOMAXPROCS, 1 the plain
 // sequential loop. Results are bit-identical for every value.
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
+func WithWorkers(n int) Option { return func(o *options) { o.Workers = n } }
 
 // WithWeighted switches the projection step to the prior-weighted
-// tomogravity of Zhang et al. (sparse LSQR fast path).
-func WithWeighted(on bool) Option { return func(o *Options) { o.Weighted = on } }
-
-// WithWeightedDense selects the legacy dense per-bin SVD implementation
-// of the weighted step (cross-check reference); it implies the weighted
-// projection.
-func WithWeightedDense(on bool) Option {
-	return func(o *Options) {
-		o.WeightedDense = on
-		if on {
-			o.Weighted = true
-		}
-	}
-}
+// tomogravity of Zhang et al. (sparse LSQR fast path, or the weighted
+// dense reference together with WithDense).
+func WithWeighted(on bool) Option { return func(o *options) { o.Weighted = on } }
 
 // WithDense selects the dense SVD reference implementation of the
-// unweighted step (cross-check; pays the one-time factorization the
-// default path avoids). Ignored when the weighted projection is on.
-func WithDense(on bool) Option { return func(o *Options) { o.Dense = on } }
+// projection step for the configured objective (cross-check; pays the
+// SVD the default path avoids — once per session unweighted, once per
+// bin weighted).
+func WithDense(on bool) Option { return func(o *options) { o.Dense = on } }
 
 // WithSkipIPF disables the marginal-fitting step 3 (ablation).
-func WithSkipIPF(on bool) Option { return func(o *Options) { o.SkipIPF = on } }
+func WithSkipIPF(on bool) Option { return func(o *options) { o.SkipIPF = on } }
 
 // WithIPF tunes the proportional-fitting tolerance and sweep budget;
 // zero values select the defaults (1e-9, 200).
 func WithIPF(tol float64, maxIter int) Option {
-	return func(o *Options) {
+	return func(o *options) {
 		o.IPFTol = tol
 		o.IPFMaxIter = maxIter
 	}
@@ -106,7 +93,7 @@ func WithIPF(tol float64, maxIter int) Option {
 // observed link loads of EstimateSeries/Compare, seeded so comparisons
 // across priors see identical noise. Zero sigma disables it.
 func WithLinkNoise(sigma float64, seed uint64) Option {
-	return func(o *Options) {
+	return func(o *options) {
 		o.LinkNoiseSigma = sigma
 		o.NoiseSeed = seed
 	}
@@ -121,7 +108,7 @@ func WithLinkNoise(sigma float64, seed uint64) Option {
 // disables injection. Missing links surface as NaN entries, which the
 // pipeline masks out of the solve rather than failing on.
 func WithFaultInjection(p faults.Profile, seed uint64) Option {
-	return func(o *Options) {
+	return func(o *options) {
 		o.Fault = p
 		o.FaultSeed = seed
 	}
@@ -147,11 +134,7 @@ func WithFaultInjection(p faults.Profile, seed uint64) Option {
 // and dense bins are never blocked or warm-started: they solve exactly
 // as the default path solves them. BinDiag.WarmStarted and
 // RunStats.WarmStartedBins report which bins took the warm path.
-func WithWarmStart(on bool) Option { return func(o *Options) { o.WarmStart = on } }
-
-// withOptions imports a legacy flat Options bag wholesale; it backs the
-// deprecated free-function wrappers.
-func withOptions(legacy Options) Option { return func(o *Options) { *o = legacy } }
+func WithWarmStart(on bool) Option { return func(o *options) { o.WarmStart = on } }
 
 // NewEstimator builds an estimation session for a routing matrix: it
 // constructs (and owns) the shared tomogravity Solver and fixes the
@@ -161,17 +144,11 @@ func NewEstimator(rm *routing.Matrix, opts ...Option) (*Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEstimatorWithSolver(solver, opts...), nil
-}
-
-// newEstimatorWithSolver wraps an existing (cached) solver; it backs the
-// deprecated with-solver wrappers and Engine-style solver pools.
-func newEstimatorWithSolver(solver *Solver, opts ...Option) *Estimator {
 	e := &Estimator{solver: solver, reg: &priorRegistry{}}
 	for _, o := range opts {
 		o(&e.opts)
 	}
-	return e
+	return e, nil
 }
 
 // With returns a derived estimator sharing this one's Solver with the
@@ -267,8 +244,29 @@ func (e *Estimator) Rebase(rm *routing.Matrix) (*Estimator, error) {
 // tomogravity projection → clamp + IPF toward the measured marginals.
 // IPF non-convergence is not an error: the estimate is returned
 // together with a BinDiag recording the shortfall.
+//
+// The observation is validated first (ErrObservation for wrong length,
+// ±Inf, or NaN marginals). NaN internal-link entries degrade instead of
+// dying: their equations are dropped from the projection (masked solve,
+// always the iterative path — the dense reference has no row-mask
+// form), and when fewer than ObservabilityFloor of the links survive,
+// the projection is skipped entirely and the prior itself is rebalanced
+// toward the measured marginals. Either way the bin reports Degraded
+// with LinksDropped in its BinDiag and the estimate stays finite.
 func (e *Estimator) EstimateBin(prior Prior, t int, y []float64) (*tm.TrafficMatrix, BinDiag, error) {
-	return estimateBin(e.solver, prior, t, y, e.opts)
+	diag := BinDiag{IPFConverged: true}
+	keep, dropped, ing, eg, p, err := prepareBin(e.solver, prior, t, y)
+	if err != nil {
+		return nil, diag, err
+	}
+	est, err := projectBin(e.solver, p, y, keep, dropped, e.opts, &diag)
+	if err != nil {
+		return nil, diag, fmt.Errorf("estimation: project bin %d: %w", t, err)
+	}
+	if err := finishBin(e.solver, est, ing, eg, e.opts, &diag); err != nil {
+		return nil, diag, fmt.Errorf("estimation: IPF bin %d: %w", t, err)
+	}
+	return est, diag, nil
 }
 
 // SeriesResult is the outcome of estimating a whole series against one

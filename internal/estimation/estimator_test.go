@@ -34,90 +34,6 @@ func estimatorFixture(t *testing.T) (*routing.Matrix, *tm.Series) {
 	return rm, d.Series
 }
 
-// TestEstimatorMatchesDeprecatedWrappersBitwise: the session API and the
-// deprecated free functions are two faces of one pipeline — estimates,
-// errors and diagnostics must agree bit for bit, across the option
-// space the wrappers translate.
-func TestEstimatorMatchesDeprecatedWrappersBitwise(t *testing.T) {
-	rm, truth := estimatorFixture(t)
-	cases := []struct {
-		name string
-		opts Options
-		fns  []Option
-	}{
-		{"default", Options{}, nil},
-		{"weighted", Options{Weighted: true}, []Option{WithWeighted(true)}},
-		{"skip-ipf", Options{SkipIPF: true}, []Option{WithSkipIPF(true)}},
-		{"noise", Options{LinkNoiseSigma: 0.1, NoiseSeed: 7}, []Option{WithLinkNoise(0.1, 7)}},
-		{"workers", Options{Workers: 8}, []Option{WithWorkers(8)}},
-		{"ipf-budget", Options{IPFTol: 1e-6, IPFMaxIter: 50}, []Option{WithIPF(1e-6, 50)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			est, err := NewEstimator(rm, tc.fns...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := est.EstimateSeries(truth, GravityPrior{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			series, errs, stats, err := RunWithSolverStats(est.Solver(), truth, GravityPrior{}, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if *stats != r.Stats {
-				t.Fatalf("stats diverged: %+v vs %+v", *stats, r.Stats)
-			}
-			for i := range errs {
-				if math.Float64bits(errs[i]) != math.Float64bits(r.Errors[i]) {
-					t.Fatalf("bin %d error diverged", i)
-				}
-				a, b := series.At(i).Vec(), r.Estimates.At(i).Vec()
-				for k := range a {
-					if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
-						t.Fatalf("bin %d flow %d diverged", i, k)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestEstimatorCompareMatchesCompareStats: the Compare method and the
-// deprecated CompareStats agree per prior.
-func TestEstimatorCompareMatchesCompareStats(t *testing.T) {
-	rm, truth := estimatorFixture(t)
-	priors := []Prior{GravityPrior{}, &StableFPrior{F: 0.25}}
-
-	est, err := NewEstimator(rm, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := est.Compare(truth, priors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantErrs, wantStats, err := CompareStats(rm, truth, priors, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range priors {
-		r := got[p.Name()]
-		if r == nil {
-			t.Fatalf("prior %q missing from Compare result", p.Name())
-		}
-		if *wantStats[p.Name()] != r.Stats {
-			t.Fatalf("prior %q stats diverged", p.Name())
-		}
-		for i := range r.Errors {
-			if math.Float64bits(r.Errors[i]) != math.Float64bits(wantErrs[p.Name()][i]) {
-				t.Fatalf("prior %q bin %d diverged", p.Name(), i)
-			}
-		}
-	}
-}
-
 // TestEstimatorWithDerivesWithoutMutating: With returns a derived
 // session over the same solver and leaves the receiver untouched, and
 // both sessions keep the determinism contract.

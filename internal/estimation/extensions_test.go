@@ -24,7 +24,7 @@ func TestProjectWeightedSatisfiesConstraints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := solver.ProjectWeighted(prior, y)
+		est, _, err := solver.Project(prior, y, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestProjectWeightedKeepsPerfectPrior(t *testing.T) {
 	}
 	x := truth.At(0)
 	y, _ := rm.LinkLoads(x)
-	est, err := solver.ProjectWeighted(x.Clone(), y)
+	est, _, err := solver.Project(x.Clone(), y, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestProjectWeightedShiftsCorrectionToLargeFlows(t *testing.T) {
 	y, _ := rm.LinkLoads(x)
 	prior, _ := GravityPrior{}.PriorFor(0, x.Ingress(), x.Egress())
 
-	plain, err := solver.Project(prior.Clone(), y)
+	plain, _, err := solver.Project(prior.Clone(), y, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	weighted, err := solver.ProjectWeighted(prior.Clone(), y)
+	weighted, _, err := solver.Project(prior.Clone(), y, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,14 +98,8 @@ func TestProjectWeightedShiftsCorrectionToLargeFlows(t *testing.T) {
 
 func TestWeightedOptionEndToEnd(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 2, 0.2, 23)
-	_, errsPlain, err := Run(rm, truth, GravityPrior{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errsWeighted, err := Run(rm, truth, GravityPrior{}, Options{Weighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsPlain := estimateSeries(t, rm, truth, GravityPrior{}).Errors
+	errsWeighted := estimateSeries(t, rm, truth, GravityPrior{}, WithWeighted(true)).Errors
 	for i := range errsPlain {
 		if math.IsNaN(errsWeighted[i]) {
 			t.Fatal("weighted pipeline produced NaN")
@@ -123,27 +117,17 @@ func TestLinkNoiseInjection(t *testing.T) {
 	// Enough bins that the mean-error comparisons below are not decided
 	// by a single bin's noise realization.
 	rm, truth, sp := fixture(t, 9, 10, 0.15, 24)
-	clean := Options{}
-	noisy := Options{LinkNoiseSigma: 0.05, NoiseSeed: 1}
+	noisy := WithLinkNoise(0.05, 1)
 
-	_, errsClean, err := Run(rm, truth, GravityPrior{}, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errsNoisy, err := Run(rm, truth, GravityPrior{}, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsClean := estimateSeries(t, rm, truth, GravityPrior{}).Errors
+	errsNoisy := estimateSeries(t, rm, truth, GravityPrior{}, noisy).Errors
 	if stats.Mean(errsNoisy) <= stats.Mean(errsClean) {
 		t.Errorf("link noise should hurt: noisy %g <= clean %g",
 			stats.Mean(errsNoisy), stats.Mean(errsClean))
 	}
 
 	// The IC prior must still beat gravity under the same moderate noise.
-	_, errsIC, err := Run(rm, truth, &StableFPPrior{F: sp.F, Pref: sp.Pref}, noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsIC := estimateSeries(t, rm, truth, &StableFPPrior{F: sp.F, Pref: sp.Pref}, noisy).Errors
 	if stats.Mean(errsIC) >= stats.Mean(errsNoisy) {
 		t.Errorf("under link noise IC prior %g should still beat gravity %g",
 			stats.Mean(errsIC), stats.Mean(errsNoisy))
@@ -154,15 +138,8 @@ func TestLinkNoiseDeterministicAcrossPriors(t *testing.T) {
 	// Two runs with the same NoiseSeed must see identical noise: the
 	// gravity-prior error series must be bit-identical.
 	rm, truth, _ := fixture(t, 8, 2, 0.1, 25)
-	opts := Options{LinkNoiseSigma: 0.1, NoiseSeed: 7}
-	_, e1, err := Run(rm, truth, GravityPrior{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, e2, err := Run(rm, truth, GravityPrior{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := estimateSeries(t, rm, truth, GravityPrior{}, WithLinkNoise(0.1, 7)).Errors
+	e2 := estimateSeries(t, rm, truth, GravityPrior{}, WithLinkNoise(0.1, 7)).Errors
 	for i := range e1 {
 		if e1[i] != e2[i] {
 			t.Fatal("link noise not deterministic for fixed seed")
@@ -197,10 +174,7 @@ func TestFanoutPrior(t *testing.T) {
 			t.Errorf("fanout row %d sums to %g", i, s)
 		}
 	}
-	_, errsFan, err := Run(rm, target, fp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsFan := estimateSeries(t, rm, target, fp).Errors
 	for _, e := range errsFan {
 		if math.IsNaN(e) || math.IsInf(e, 0) {
 			t.Fatal("fanout pipeline produced invalid error")
@@ -230,14 +204,8 @@ func TestFanoutPriorWinsOnStaticStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errsFan, err := Run(rm, target, fp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, errsGrav, err := Run(rm, target, GravityPrior{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsFan := estimateSeries(t, rm, target, fp).Errors
+	errsGrav := estimateSeries(t, rm, target, GravityPrior{}).Errors
 	if stats.Mean(errsFan) >= stats.Mean(errsGrav) {
 		t.Errorf("fanout %g should beat gravity %g on static structure",
 			stats.Mean(errsFan), stats.Mean(errsGrav))

@@ -8,37 +8,35 @@ import (
 )
 
 // TestRunWithSolverWorkersBitIdentical is the determinism contract of the
-// parallel estimation path: for any worker count the estimated series and
+// parallel estimation path (EstimateSeries over one shared solver): for any worker count the estimated series and
 // error vector must be bit-identical to the sequential (workers=1) run,
 // including under link noise — the noise stream is keyed per bin, not
 // consumed across bins.
 func TestRunWithSolverWorkersBitIdentical(t *testing.T) {
 	rm, truth, _ := fixture(t, 9, 12, 0.15, 31)
-	solver, err := NewSolver(rm)
+	seqEst, err := NewEstimator(rm, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, noise := range []float64{0, 0.1} {
-		base := Options{LinkNoiseSigma: noise, NoiseSeed: 5, Workers: 1}
-		seqEst, seqErrs, err := RunWithSolver(solver, truth, GravityPrior{}, base)
+		base := seqEst.With(WithLinkNoise(noise, 5))
+		seq, err := base.EstimateSeries(truth, GravityPrior{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8, 0} {
-			opts := base
-			opts.Workers = workers
-			parEst, parErrs, err := RunWithSolver(solver, truth, GravityPrior{}, opts)
+			par, err := base.With(WithWorkers(workers)).EstimateSeries(truth, GravityPrior{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range seqErrs {
-				if seqErrs[i] != parErrs[i] {
+			for i := range seq.Errors {
+				if seq.Errors[i] != par.Errors[i] {
 					t.Fatalf("noise=%g workers=%d: error[%d] = %g, sequential %g",
-						noise, workers, i, parErrs[i], seqErrs[i])
+						noise, workers, i, par.Errors[i], seq.Errors[i])
 				}
 			}
-			for b := 0; b < seqEst.Len(); b++ {
-				sv, pv := seqEst.At(b).Vec(), parEst.At(b).Vec()
+			for b := 0; b < seq.Estimates.Len(); b++ {
+				sv, pv := seq.Estimates.At(b).Vec(), par.Estimates.At(b).Vec()
 				for k := range sv {
 					if sv[k] != pv[k] {
 						t.Fatalf("noise=%g workers=%d: bin %d entry %d differs: %g vs %g",
@@ -59,14 +57,15 @@ func TestCompareWorkersBitIdentical(t *testing.T) {
 		&StableFPPrior{F: sp.F, Pref: sp.Pref},
 		&StableFPrior{F: sp.F},
 	}
-	base := Options{LinkNoiseSigma: 0.05, NoiseSeed: 3, Workers: 1}
-	seq, err := Compare(rm, truth, priors, base)
+	base, err := NewEstimator(rm, WithLinkNoise(0.05, 3), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par8 := base
-	par8.Workers = 8
-	par, err := Compare(rm, truth, priors, par8)
+	seq, err := base.Compare(truth, priors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := base.With(WithWorkers(8)).Compare(truth, priors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +74,12 @@ func TestCompareWorkersBitIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("prior %q missing from parallel result", name)
 		}
-		for i := range se {
-			if se[i] != pe[i] {
-				t.Fatalf("prior %q bin %d: %g vs sequential %g", name, i, pe[i], se[i])
+		if se.Stats != pe.Stats {
+			t.Fatalf("prior %q stats diverged: %+v vs sequential %+v", name, pe.Stats, se.Stats)
+		}
+		for i := range se.Errors {
+			if se.Errors[i] != pe.Errors[i] {
+				t.Fatalf("prior %q bin %d: %g vs sequential %g", name, i, pe.Errors[i], se.Errors[i])
 			}
 		}
 	}
@@ -108,21 +110,20 @@ func TestIPFNonConvergenceSentinel(t *testing.T) {
 // it must surface in BinDiag and aggregate into RunStats.
 func TestEstimateBinSurfacesIPFDiag(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 4, 0.2, 33)
-	solver, err := NewSolver(rm)
+	// One sweep with an extreme tolerance cannot converge on noisy bins.
+	est, err := NewEstimator(rm, WithIPF(1e-15, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One sweep with an extreme tolerance cannot converge on noisy bins.
-	opts := Options{IPFTol: 1e-15, IPFMaxIter: 1}
 	y, err := rm.LinkLoads(truth.At(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, diag, err := EstimateBin(solver, GravityPrior{}, 0, y, opts)
+	x, diag, err := est.EstimateBin(GravityPrior{}, 0, y)
 	if err != nil {
 		t.Fatalf("non-convergence must not fail the bin: %v", err)
 	}
-	if est == nil {
+	if x == nil {
 		t.Fatal("estimate dropped")
 	}
 	if diag.IPFConverged {
@@ -132,10 +133,7 @@ func TestEstimateBinSurfacesIPFDiag(t *testing.T) {
 		t.Errorf("diag sweeps = %d, want 1", diag.IPFSweeps)
 	}
 
-	_, _, stats, err := RunWithSolverStats(solver, truth, GravityPrior{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := estimateSeries(t, rm, truth, GravityPrior{}, WithIPF(1e-15, 1)).Stats
 	if stats.Bins != truth.Len() {
 		t.Errorf("stats.Bins = %d, want %d", stats.Bins, truth.Len())
 	}
@@ -152,14 +150,7 @@ func TestEstimateBinSurfacesIPFDiag(t *testing.T) {
 // and the stats must say so.
 func TestRunStatsConvergedRun(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 3, 0.1, 34)
-	solver, err := NewSolver(rm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, stats, err := RunWithSolverStats(solver, truth, GravityPrior{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := estimateSeries(t, rm, truth, GravityPrior{}).Stats
 	if stats.IPFNonConverged != 0 {
 		t.Errorf("unexpected non-convergences: %d", stats.IPFNonConverged)
 	}
@@ -171,14 +162,7 @@ func TestRunStatsConvergedRun(t *testing.T) {
 // TestSkipIPFDiag: with IPF disabled the diag must stay neutral.
 func TestSkipIPFDiag(t *testing.T) {
 	rm, truth, _ := fixture(t, 8, 2, 0.1, 35)
-	solver, err := NewSolver(rm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, stats, err := RunWithSolverStats(solver, truth, GravityPrior{}, Options{SkipIPF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := estimateSeries(t, rm, truth, GravityPrior{}, WithSkipIPF(true)).Stats
 	if stats.IPFNonConverged != 0 || stats.IPFSweepsTotal != 0 {
 		t.Errorf("SkipIPF run recorded IPF activity: %+v", stats)
 	}

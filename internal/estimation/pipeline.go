@@ -7,7 +7,6 @@ import (
 
 	"ictm/internal/faults"
 	"ictm/internal/rng"
-	"ictm/internal/routing"
 	"ictm/internal/tm"
 )
 
@@ -18,13 +17,11 @@ import (
 // that link's equation from the solve (see BinDiag.LinksDropped).
 var ErrObservation = errors.New("estimation: invalid observation")
 
-// Options tune the estimation pipeline. The zero value is ready to use.
-//
-// Options is the flat configuration bag of the deprecated free-function
-// entry points (Run, Compare and friends). New code should configure an
-// Estimator with functional options (WithWorkers, WithWeighted, ...)
-// instead; the fields below keep their meaning there.
-type Options struct {
+// options is the estimation pipeline's configuration, set through the
+// functional Option values of an Estimator (WithWorkers, WithWeighted,
+// ...).
+// The zero value is ready to use.
+type options struct {
 	// SkipIPF disables step 3 (useful for ablation).
 	SkipIPF bool
 	// IPFTol and IPFMaxIter tune the proportional fitting; zero values
@@ -34,26 +31,17 @@ type Options struct {
 	// Weighted switches step 2 from the minimal-L2 correction to the
 	// prior-weighted tomogravity of Zhang et al.: deviations from the
 	// prior are penalized relative to the prior's own magnitude, so
-	// large flows absorb more of the correction. The weighted step is
-	// solved by the sparse LSQR fast path (see Solver.ProjectWeighted)
-	// and costs within a small factor of the unweighted projection.
+	// large flows absorb more of the correction. It selects the objective
+	// of both the iterative projection and the dense reference.
 	Weighted bool
-	// WeightedDense selects the legacy dense per-bin SVD implementation
-	// of the weighted step (Solver.ProjectWeightedDense) and implies
-	// Weighted. It exists for cross-checking the fast path — the two
-	// agree to well below 1e-6 relative — and costs O((L+2n)²·n²) per
-	// bin. Bins with missing link reports cannot run it (the dense path
-	// has no row-mask form): they downgrade to the masked iterative
-	// solve and report BinDiag.DenseDowngraded.
-	WeightedDense bool
-	// Dense selects the dense SVD reference implementation of the
-	// unweighted step (Solver.ProjectDense). It exists for cross-checking
-	// the iterative fast path — the two agree to well below 1e-8
-	// relative — and pays the one-time O((L+2n)²·n²) factorization the
-	// default path eliminated. Ignored when Weighted/WeightedDense is
-	// set. As with WeightedDense, bins with missing link reports
-	// downgrade to the masked iterative solve and report
-	// BinDiag.DenseDowngraded.
+	// Dense selects the dense SVD reference implementation of step 2
+	// (Solver.ProjectDense) for the selected objective. It exists for
+	// cross-checking the iterative path — they agree to well below 1e-8
+	// (unweighted) and 1e-6 (weighted) relative — and pays the SVD the
+	// default path avoids: once per solver unweighted, once per bin
+	// weighted. Bins with missing link reports cannot run it (the dense
+	// reference has no row-mask form): they downgrade to the masked
+	// iterative solve and report BinDiag.DenseDowngraded.
 	Dense bool
 	// LinkNoiseSigma injects multiplicative lognormal noise into the
 	// observed link loads (failure injection / SNMP-error emulation).
@@ -64,7 +52,7 @@ type Options struct {
 	// NoiseSeed seeds the link-noise stream (so comparisons across
 	// priors see identical noise).
 	NoiseSeed uint64
-	// Workers bounds how many bins (Run/RunWithSolver) or priors
+	// Workers bounds how many bins (EstimateSeries) or priors
 	// (Compare) are estimated concurrently: 0 selects GOMAXPROCS, 1 the
 	// plain sequential loop. The bound applies per fan-out level, so
 	// Compare can have up to Workers priors × Workers bins in flight;
@@ -103,7 +91,7 @@ type Options struct {
 // noiseStream returns the root link-noise generator, or nil when noise
 // is disabled. Per-bin children must be derived from it with
 // DeriveIndex(bin) so that results do not depend on bin execution order.
-func (o Options) noiseStream() *rng.PCG {
+func (o options) noiseStream() *rng.PCG {
 	if o.LinkNoiseSigma <= 0 {
 		return nil
 	}
@@ -120,14 +108,14 @@ type BinDiag struct {
 	// usable but honours the measured marginals only approximately.
 	IPFConverged bool `json:"ipf_converged"`
 	// WeightedDenseFallback is true when the weighted step's iterative
-	// solver stalled and the bin fell back to the dense reference path
-	// (correct but ~500x slower; see Solver.ProjectWeightedReport).
+	// solver stalled and the bin escalated to the dense reference
+	// (correct but ~500x slower; see Projection.DenseFallback).
 	WeightedDenseFallback bool `json:"weighted_dense_fallback,omitempty"`
-	// ProjectStalled is the unweighted counterpart: the bin's LSQR solve
-	// hit its iteration budget before tolerance. The estimate came from
-	// the dense SVD reference path when affordable at the problem's
-	// scale, and from the almost-converged iterate otherwise (see
-	// Solver.ProjectReport).
+	// ProjectStalled reports every other stall: the bin's LSQR solve hit
+	// its iteration budget before tolerance. The estimate came from the
+	// dense reference when the bin was unweighted, fully observed and
+	// affordable at the problem's scale, and from the almost-converged
+	// iterate otherwise (see Solver.Project).
 	ProjectStalled bool `json:"project_stalled,omitempty"`
 	// LSQRIterations is the number of LSQR iterations the bin's
 	// projection consumed (0 on the dense reference paths, which run no
@@ -153,10 +141,9 @@ type BinDiag struct {
 	// is the prior itself, rebalanced by IPF toward the (intact)
 	// measured marginals.
 	PriorFallback bool `json:"prior_fallback,omitempty"`
-	// DenseDowngraded marks a bin that requested a dense reference
-	// projection (Options.Dense or Options.WeightedDense) but could not
-	// run it because link reports were missing: the dense SVD paths have
-	// no row-mask form, so the bin was solved by the masked iterative
+	// DenseDowngraded marks a bin that requested the dense reference
+	// projection (WithDense) but could not run it because link reports
+	// were missing: the dense reference has no row-mask form, so the bin was solved by the masked iterative
 	// path instead (or fell back to the prior below the observability
 	// floor). Previously this downgrade was silent, which let a dense
 	// cross-check sweep quietly stop cross-checking under faults. Only
@@ -164,7 +151,7 @@ type BinDiag struct {
 	// pre-existing wire bytes.
 	DenseDowngraded bool `json:"dense_downgraded,omitempty"`
 	// WarmStarted marks a bin whose LSQR solve was warm-started from a
-	// previous bin's converged correction (Options.WarmStart blocked
+	// previous bin's converged correction (WithWarmStart blocked
 	// path; always false on the default cold path and on masked,
 	// weighted or dense bins). Local-only like LSQRIterations: the
 	// series layer aggregates it into RunStats.WarmStartedBins, keeping
@@ -195,24 +182,25 @@ type RunStats struct {
 	// count on a long sweep means the sweep ran far slower than the
 	// fast path promises — worth surfacing to the operator.
 	WeightedDenseFallbacks int
-	// ProjectStalls counts bins whose unweighted projection stalled
-	// before tolerance (see BinDiag.ProjectStalled). A non-zero count is
-	// worth surfacing: those bins either paid for the dense reference or
-	// carry an almost-converged estimate.
+	// ProjectStalls counts bins whose projection stalled before
+	// tolerance without a weighted dense fallback (see
+	// BinDiag.ProjectStalled). A non-zero count is worth surfacing: those
+	// bins either paid for the dense reference or carry an
+	// almost-converged estimate.
 	ProjectStalls int
 	// LSQRIterationsTotal sums the LSQR iterations consumed across all
 	// bins (BinDiag.LSQRIterations) — the run's total iterative-solver
 	// work. Note it is NOT safe to divide by Bins for a mean
-	// iterations-to-converge: bins answered by a dense reference path or
-	// by the prior fallback run no iterative solve and contribute 0, so
-	// the quotient understates the per-solve cost whenever
-	// WeightedDenseFallbacks, PriorFallbacks or dense-option bins are
-	// present. Divide by the count of iteratively solved bins instead
-	// (Bins minus those).
+	// iterations-to-converge: bins answered by the dense option or by
+	// the prior fallback run no iterative solve and contribute 0, so the
+	// quotient understates the per-solve cost whenever PriorFallbacks or
+	// dense-option bins are present. Divide by the count of iteratively
+	// solved bins instead (Bins minus those). A stall that escalated to
+	// the dense reference still counts the iterations it spent.
 	LSQRIterationsTotal int
 	// WarmStartedBins counts bins whose solve was warm-started from a
 	// previous bin's converged correction (BinDiag.WarmStarted) — only
-	// ever non-zero under Options.WarmStart. Together with
+	// ever non-zero under WithWarmStart. Together with
 	// LSQRIterationsTotal it quantifies what warm-starting saved: the
 	// same series estimated cold shows the difference in total
 	// iterations.
@@ -278,48 +266,10 @@ func validateObservation(y []float64, rows, links int) (keep []bool, dropped int
 	return keep, dropped, nil
 }
 
-// EstimateBin runs the full three-step pipeline for one bin.
-//
-// Deprecated: build an Estimator (NewEstimator or With over a pooled
-// session) and call its EstimateBin method instead.
-func EstimateBin(s *Solver, prior Prior, t int, y []float64, opts Options) (*tm.TrafficMatrix, BinDiag, error) {
-	return estimateBin(s, prior, t, y, opts)
-}
-
-// estimateBin runs the full three-step pipeline for one bin: prior →
-// tomogravity projection → clamp + IPF toward the measured marginals.
-// IPF non-convergence is not an error: the estimate is returned together
-// with a BinDiag recording the shortfall. It is the shared core of
-// Estimator.EstimateBin and the deprecated free function.
-//
-// The observation is validated first (ErrObservation for wrong length,
-// ±Inf, or NaN marginals). NaN internal-link entries degrade instead of
-// dying: their equations are dropped from the projection (masked solve,
-// always the iterative path — the dense references have no row-mask
-// form), and when fewer than ObservabilityFloor of the links survive,
-// the projection is skipped entirely and the prior itself is rebalanced
-// toward the measured marginals. Either way the bin reports Degraded
-// with LinksDropped in its BinDiag and the estimate stays finite.
-func estimateBin(s *Solver, prior Prior, t int, y []float64, opts Options) (*tm.TrafficMatrix, BinDiag, error) {
-	diag := BinDiag{IPFConverged: true}
-	keep, dropped, ing, eg, p, err := prepareBin(s, prior, t, y)
-	if err != nil {
-		return nil, diag, err
-	}
-	est, err := projectBin(s, p, y, keep, dropped, opts, &diag)
-	if err != nil {
-		return nil, diag, fmt.Errorf("estimation: project bin %d: %w", t, err)
-	}
-	if err := finishBin(s, est, ing, eg, opts, &diag); err != nil {
-		return nil, diag, fmt.Errorf("estimation: IPF bin %d: %w", t, err)
-	}
-	return est, diag, nil
-}
-
 // prepareBin runs the pre-projection stage of one bin: observation
 // validation (mask derivation), marginal extraction and prior synthesis.
 // ing and eg alias y, so they stay valid exactly as long as the caller
-// keeps the observation alive. Shared by estimateBin and the warm
+// keeps the observation alive. Shared by EstimateBin and the warm
 // chunked path, so the two cannot drift in validation or error text.
 func prepareBin(s *Solver, prior Prior, t int, y []float64) (keep []bool, dropped int, ing, eg []float64, p *tm.TrafficMatrix, err error) {
 	keep, dropped, err = validateObservation(y, s.rm.Rows(), s.rm.L)
@@ -340,41 +290,41 @@ func prepareBin(s *Solver, prior Prior, t int, y []float64) (keep []bool, droppe
 	return keep, dropped, ing, eg, p, nil
 }
 
-// projectBin runs the projection stage of one bin — the option-driven
-// dispatch between the iterative, masked, weighted and dense solvers —
-// recording its diagnostics in diag. Shared by estimateBin and the warm
-// chunked path (which routes only the clean unweighted bins to the
-// blocked solver and sends everything else here).
-func projectBin(s *Solver, p *tm.TrafficMatrix, y []float64, keep []bool, dropped int, opts Options, diag *BinDiag) (est *tm.TrafficMatrix, err error) {
-	switch {
-	case dropped > 0:
-		diag.Degraded = true
-		diag.LinksDropped = dropped
-		if opts.Dense || opts.WeightedDense {
-			// The dense reference paths have no row-mask form: the bin is
-			// downgraded to the masked iterative solve (or the prior
-			// fallback below). Surfaced instead of silent so a dense
-			// cross-check sweep knows which bins it did not cross-check.
-			diag.DenseDowngraded = true
-		}
+// projectBin runs the projection stage of one bin, recording its
+// diagnostics in diag: a bin below the observability floor falls back
+// to the prior, the Dense option sends a fully observed bin to the
+// dense reference, and every other bin — masked or not, weighted or
+// not — takes Solver.Project. Shared by EstimateBin and the warm chunked
+// path (which routes only the clean unweighted bins to the blocked
+// solver and sends everything else here).
+func projectBin(s *Solver, p *tm.TrafficMatrix, y []float64, keep []bool, dropped int, opts options, diag *BinDiag) (*tm.TrafficMatrix, error) {
+	if dropped > 0 {
+		diag.Degraded, diag.LinksDropped = true, dropped
+		// The dense reference has no row-mask form: the bin is downgraded
+		// to the masked iterative solve (or the prior fallback below).
+		// Surfaced instead of silent so a dense cross-check sweep knows
+		// which bins it did not cross-check.
+		diag.DenseDowngraded = opts.Dense
 		if float64(s.rm.L-dropped) < ObservabilityFloor*float64(s.rm.L) {
 			diag.PriorFallback = true
-			est = p.Clone()
-		} else if opts.Weighted { // WeightedDense implies Weighted
-			est, diag.ProjectStalled, diag.LSQRIterations, err = s.ProjectWeightedMaskedReport(p, y, keep)
-		} else {
-			est, diag.ProjectStalled, diag.LSQRIterations, err = s.ProjectMaskedReport(p, y, keep)
+			return p.Clone(), nil
 		}
-	case opts.WeightedDense: // implies Weighted
-		est, err = s.ProjectWeightedDense(p, y)
-	case opts.Weighted:
-		est, diag.WeightedDenseFallback, diag.LSQRIterations, err = s.ProjectWeightedReport(p, y)
-	case opts.Dense:
-		est, err = s.ProjectDense(p, y)
-	default:
-		est, diag.ProjectStalled, diag.LSQRIterations, err = s.ProjectReport(p, y)
+	} else if opts.Dense {
+		return s.ProjectDense(p, y, opts.Weighted)
 	}
+	est, pr, err := s.Project(p, y, keep, opts.Weighted)
+	diag.recordProjection(pr, opts.Weighted)
 	return est, err
+}
+
+// recordProjection copies a projection's report into the bin's
+// diagnostics. The wire flags keep their historical meaning: a weighted
+// stall that escalated to the dense reference reports
+// weighted_dense_fallback, every other stall project_stalled.
+func (d *BinDiag) recordProjection(pr Projection, weighted bool) {
+	d.LSQRIterations = pr.Iterations
+	d.WeightedDenseFallback = weighted && pr.DenseFallback
+	d.ProjectStalled = pr.Stalled && !d.WeightedDenseFallback
 }
 
 // finishBin runs the post-projection stage of one bin in place: clamp
@@ -382,7 +332,7 @@ func projectBin(s *Solver, p *tm.TrafficMatrix, y []float64, keep []bool, droppe
 // scratch from the solver's pool). IPF non-convergence is recorded in
 // diag, not returned; any other IPF error is returned unwrapped for the
 // caller to attribute to its bin.
-func finishBin(s *Solver, est *tm.TrafficMatrix, ing, eg []float64, opts Options, diag *BinDiag) error {
+func finishBin(s *Solver, est *tm.TrafficMatrix, ing, eg []float64, opts options, diag *BinDiag) error {
 	est.ClampNonNegative()
 	if opts.SkipIPF {
 		return nil
@@ -400,79 +350,4 @@ func finishBin(s *Solver, est *tm.TrafficMatrix, ing, eg []float64, opts Options
 		diag.IPFConverged = false
 	}
 	return nil
-}
-
-// Run estimates every bin of the true series and reports per-bin errors.
-//
-// Deprecated: use NewEstimator(rm, ...) and EstimateSeries, which return
-// the same estimates and errors inside a SeriesResult.
-func Run(rm *routing.Matrix, truth *tm.Series, prior Prior, opts Options) (*tm.Series, []float64, error) {
-	est, err := NewEstimator(rm, withOptions(opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := est.EstimateSeries(truth, prior)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Estimates, r.Errors, nil
-}
-
-// RunWithSolver is Run with a caller-provided (cached) solver.
-//
-// Deprecated: pool an Estimator instead of a bare Solver and call
-// EstimateSeries (With derives per-call settings over the shared
-// solver).
-func RunWithSolver(solver *Solver, truth *tm.Series, prior Prior, opts Options) (*tm.Series, []float64, error) {
-	out, errs, _, err := RunWithSolverStats(solver, truth, prior, opts)
-	return out, errs, err
-}
-
-// RunWithSolverStats is RunWithSolver, additionally reporting aggregate
-// run diagnostics.
-//
-// Deprecated: Estimator.EstimateSeries reports the same diagnostics in
-// SeriesResult.Stats.
-func RunWithSolverStats(solver *Solver, truth *tm.Series, prior Prior, opts Options) (*tm.Series, []float64, *RunStats, error) {
-	r, err := newEstimatorWithSolver(solver, withOptions(opts)).EstimateSeries(truth, prior)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats := r.Stats
-	return r.Estimates, r.Errors, &stats, nil
-}
-
-// Compare runs several priors over the same truth and routing, sharing
-// one solver, and returns per-prior error series keyed by prior name.
-//
-// Deprecated: use NewEstimator(rm, ...) and the Compare method, whose
-// SeriesResult carries the error series and diagnostics together.
-func Compare(rm *routing.Matrix, truth *tm.Series, priors []Prior, opts Options) (map[string][]float64, error) {
-	errs, _, err := CompareStats(rm, truth, priors, opts)
-	return errs, err
-}
-
-// CompareStats is Compare, additionally reporting each prior's run
-// diagnostics keyed by prior name.
-//
-// Deprecated: Estimator.Compare reports the same diagnostics in each
-// SeriesResult.Stats.
-func CompareStats(rm *routing.Matrix, truth *tm.Series, priors []Prior, opts Options) (map[string][]float64, map[string]*RunStats, error) {
-	est, err := NewEstimator(rm, withOptions(opts))
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := est.Compare(truth, priors)
-	if err != nil {
-		return nil, nil, err
-	}
-	errsOut := make(map[string][]float64, len(priors))
-	statsOut := make(map[string]*RunStats, len(priors))
-	for _, p := range priors {
-		r := results[p.Name()]
-		stats := r.Stats
-		errsOut[p.Name()] = r.Errors
-		statsOut[p.Name()] = &stats
-	}
-	return errsOut, statsOut, nil
 }

@@ -25,11 +25,11 @@ func TestProjectIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		once, err := solver.Project(prior, y)
+		once, _, err := solver.Project(prior, y, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		twice, err := solver.Project(once, y)
+		twice, _, err := solver.Project(once, y, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestProjectMinimality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := solver.Project(prior, y)
+		est, _, err := solver.Project(prior, y, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,12 +44,12 @@ func TestSolverSharedAcrossGoroutinesBitIdentical(t *testing.T) {
 	seqDense := make([][]float64, bins)
 	refSolver := mustSolver(t, rm)
 	for tb, in := range inputs {
-		fast, err := refSolver.Project(in.prior.Clone(), in.y)
+		fast, _, err := refSolver.Project(in.prior.Clone(), in.y, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqFast[tb] = fast.Vec()
-		dense, err := refSolver.ProjectDense(in.prior.Clone(), in.y)
+		dense, err := refSolver.ProjectDense(in.prior.Clone(), in.y, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,13 +70,13 @@ func TestSolverSharedAcrossGoroutinesBitIdentical(t *testing.T) {
 			// the lazy SVD Once is contended from the first iteration.
 			for tb := gr; tb < bins; tb += goroutines {
 				in := inputs[tb]
-				fast, err := solver.Project(in.prior.Clone(), in.y)
+				fast, _, err := solver.Project(in.prior.Clone(), in.y, nil, false)
 				if err != nil {
 					errs[gr] = err
 					return
 				}
 				parFast[tb] = fast.Vec()
-				dense, err := solver.ProjectDense(in.prior.Clone(), in.y)
+				dense, err := solver.ProjectDense(in.prior.Clone(), in.y, false)
 				if err != nil {
 					errs[gr] = err
 					return

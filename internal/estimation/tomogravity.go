@@ -18,25 +18,29 @@ import (
 // BinDiag and keeps the estimate).
 var ErrIPFNoConverge = errors.New("estimation: IPF did not converge")
 
-// Solver performs the tomogravity least-squares projection (step 2).
-// Both the unweighted and the weighted paths are iterative: each bin is
-// a damped LSQR solve against the routing matrix's sparse (CSR) view, so
-// constructing a Solver is O(nnz) and per-bin work is a few dozen sparse
-// mat-vecs. The dense Jacobi SVD of R — formerly computed eagerly by
-// NewSolver, an O((L+2n)²·n²) startup that capped every run at toy
-// topology sizes — survives only as a lazily-factored reference used by
-// the ProjectDense/ProjectWeightedDense cross-check paths and the rare
-// LSQR-stall fallback.
+// Solver performs the tomogravity least-squares projection (step 2)
+// through one iterative entry point, Project, for both the unweighted
+// and the prior-weighted objective: each bin is an LSQR solve against the
+// routing matrix's sparse (CSR) view, so constructing a Solver is O(nnz)
+// and per-bin work is a few dozen sparse mat-vecs. ProjectDense is the
+// one dense reference, used by cross-check sweeps and by an affordable
+// stall; its SVD of R is factored lazily, never by NewSolver.
 //
 // A Solver is safe for concurrent use once constructed: the routing
 // matrix and its CSR view are never written after NewSolver returns, the
 // lazy dense factorization is guarded by a sync.Once, and the per-solve
-// working storage (residuals, LSQR state, IPF marginal buffers) comes
-// from a sync.Pool — each in-flight solve owns its scratch exclusively,
-// so parallel bins never share mutable state. RunWithSolverStats relies
-// on this to estimate bins in parallel against one shared solver.
+// working storage (residuals, weights, LSQR state, IPF marginal buffers)
+// comes from a sync.Pool — each in-flight solve owns its scratch
+// exclusively, so parallel bins never share mutable state. The
+// Estimator relies on this to estimate bins in parallel against one
+// shared solver.
 type Solver struct {
 	rm *routing.Matrix
+
+	// maxIter is the LSQR iteration budget of every iterative solve; zero
+	// selects LSQR's default. Only in-package tests set it, to force the
+	// stall policy's branches.
+	maxIter int
 
 	// scratch pools per-solve working storage (solveScratch). Reused
 	// buffers are fully overwritten before being read, so pooling cannot
@@ -57,11 +61,12 @@ type Solver struct {
 }
 
 // solveScratch is the reusable working storage of one in-flight bin:
-// the projection's residual vectors, the LSQR work area (single-RHS and
+// the projection's residual and weights, the LSQR work area (single-RHS and
 // blocked), and the IPF marginal buffers. Pooled on the Solver; not
 // safe for concurrent use — each solve checks one out for its duration.
 type solveScratch struct {
-	rp, res []float64 // rows-sized: R·prior and the measurement residual
+	res     []float64 // rows-sized: the measurement residual
+	sqrtw   []float64 // n²-sized: the weighted projection's W^{1/2}
 	lsqr    linalg.LSQRWork
 	multi   linalg.LSQRMultiWork
 	ing, eg []float64 // n-sized: IPF marginal accumulators
@@ -99,8 +104,8 @@ func NewSolver(rm *routing.Matrix) (*Solver, error) {
 }
 
 // FactorDense forces the lazy dense SVD factorization of R, returning
-// any factorization error. Calling it is never required — ProjectDense
-// and the stall fallback trigger it on demand — but a caller about to
+// any factorization error. Calling it is never required — the
+// unweighted ProjectDense triggers it on demand — but a caller about to
 // run a dense cross-check sweep can pre-pay the one-time cost here
 // instead of inside the first estimated bin.
 func (s *Solver) FactorDense() error {
@@ -118,59 +123,151 @@ func (s *Solver) FactorDense() error {
 	return s.svdErr
 }
 
-// unweightedSetup validates the inputs of the unweighted projection and
-// returns the measurement-space residual y − R·prior, computed on the
-// sparse routing view.
-func (s *Solver) unweightedSetup(prior *tm.TrafficMatrix, y []float64) ([]float64, error) {
-	if prior.N() != s.rm.N {
-		return nil, fmt.Errorf("%w: prior over %d nodes for n=%d routing", ErrInput, prior.N(), s.rm.N)
-	}
-	if len(y) != s.rm.Rows() {
-		return nil, fmt.Errorf("%w: y of %d, want %d", ErrInput, len(y), s.rm.Rows())
-	}
-	rp, err := s.rm.CSR().MulVec(prior.Vec())
-	if err != nil {
-		return nil, err
-	}
-	return linalg.SubVec(y, rp), nil
+// Projection reports how one tomogravity projection was solved.
+type Projection struct {
+	// Iterations is the number of LSQR iterations the solve consumed —
+	// the per-bin convergence cost (BinDiag.LSQRIterations). It counts
+	// the iterative work even when a stall escalated to the dense
+	// reference.
+	Iterations int
+	// Stalled reports that LSQR hit its iteration budget before
+	// tolerance. The routing systems of this repository converge in a few
+	// dozen iterations, so a stall is exceptional.
+	Stalled bool
+	// DenseFallback reports that the stall escalated: the estimate came
+	// from the dense reference (ProjectDense) instead of LSQR's iterate.
+	DenseFallback bool
 }
 
-// unweightedSetupTo is unweightedSetup computing into the scratch
-// object's buffers: no allocation at steady state, bit-identical
-// residuals. The returned slice aliases sc.res and is valid until the
-// scratch is returned to the pool.
-func (s *Solver) unweightedSetupTo(sc *solveScratch, prior *tm.TrafficMatrix, y []float64) ([]float64, error) {
-	if prior.N() != s.rm.N {
-		return nil, fmt.Errorf("%w: prior over %d nodes for n=%d routing", ErrInput, prior.N(), s.rm.N)
-	}
-	if len(y) != s.rm.Rows() {
-		return nil, fmt.Errorf("%w: y of %d, want %d", ErrInput, len(y), s.rm.Rows())
-	}
+// residual validates a projection's inputs and writes the measurement
+// residual y − R·prior into buf (grown to the row count, reusing its
+// capacity), computed on the sparse routing view. Rows that keep drops
+// are zeroed, so NaN missing-report markers cannot poison the solve
+// (the dropped equations contribute nothing either way).
+func (s *Solver) residual(buf []float64, prior *tm.TrafficMatrix, y []float64, keep []bool) ([]float64, error) {
 	rows := s.rm.Rows()
-	sc.rp = growFloat(sc.rp, rows)
-	s.rm.CSR().MulVecTo(sc.rp, prior.Vec())
-	sc.res = growFloat(sc.res, rows)
-	for i, v := range y {
-		sc.res[i] = v - sc.rp[i]
+	switch {
+	case prior.N() != s.rm.N:
+		return nil, fmt.Errorf("%w: prior over %d nodes for n=%d routing", ErrInput, prior.N(), s.rm.N)
+	case len(y) != rows:
+		return nil, fmt.Errorf("%w: y of %d, want %d", ErrInput, len(y), rows)
+	case keep != nil && len(keep) != rows:
+		return nil, fmt.Errorf("%w: row mask of %d, want %d", ErrInput, len(keep), rows)
 	}
-	return sc.res, nil
+	res := growFloat(buf, rows)
+	s.rm.CSR().MulVecTo(res, prior.Vec())
+	for i, v := range y {
+		if keep != nil && !keep[i] {
+			res[i] = 0
+			continue
+		}
+		res[i] = v - res[i]
+	}
+	return res, nil
 }
 
-// Project returns the minimal-L2 correction of the prior onto the
-// link-constraint manifold:
+// sqrtWeights writes the weighted projection's column scaling W^{1/2}
+// into buf, with W = diag(max(prior, floor)). The floor — a small
+// fraction of the mean prior flow — keeps zero prior entries
+// correctable without dominating the geometry.
+func sqrtWeights(buf []float64, prior *tm.TrafficMatrix) []float64 {
+	pv := prior.Vec()
+	var mean float64
+	for _, v := range pv {
+		mean += v
+	}
+	mean /= float64(len(pv))
+	floor := 1e-3 * mean
+	if floor <= 0 {
+		floor = 1e-12
+	}
+	sqrtw := growFloat(buf, len(pv))
+	for i, v := range pv {
+		sqrtw[i] = math.Sqrt(max(v, floor))
+	}
+	return sqrtw
+}
+
+// addCorrection returns prior + W^{1/2}·z, with W = I when sqrtw is nil.
+func addCorrection(prior *tm.TrafficMatrix, z, sqrtw []float64) *tm.TrafficMatrix {
+	out := prior.Clone()
+	ov := out.Vec()
+	if sqrtw == nil {
+		for i := range ov {
+			ov[i] += z[i]
+		}
+		return out
+	}
+	for i := range ov {
+		ov[i] += sqrtw[i] * z[i]
+	}
+	return out
+}
+
+// Project is the tomogravity step: the correction of the prior toward
+// the link constraints R·x = y by least squares. Unweighted, it is the
+// minimal-L2 correction
 //
 //	x̂ = x_prior + R⁺ (y − R·x_prior)
 //
-// which among all x with R·x = y (in the least-squares sense when y is
-// noisy/inconsistent) is the one closest to the prior in Euclidean norm.
-// The correction z = R⁺·(y − R·prior) is the minimum-norm least-squares
-// solution of R·z = y − R·prior, obtained by LSQR on the sparse view —
-// no factorization, O(iterations · nnz) per bin. The result can contain
-// small negative entries; the caller is expected to clamp and re-balance
-// (see EstimateBin).
-func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64) (*tm.TrafficMatrix, error) {
-	est, _, _, err := s.ProjectReport(prior, y)
-	return est, err
+// — among all x with R·x = y (in the least-squares sense when y is
+// noisy) the one closest to the prior in Euclidean norm. Weighted, it is
+// the prior-weighted tomogravity of Zhang et al.,
+//
+//	minimize ||W^{-1/2}·(x - prior)||₂  subject to  R·x = y
+//
+// with W = diag(max(prior, floor)), so large flows absorb more of the
+// correction; substituting x = prior + W^{1/2}·z reduces it to the
+// minimum-norm solution of (R·W^{1/2})·z = y − R·prior.
+//
+// Either way the correction is one LSQR solve on the sparse routing
+// view — implicitly column-scaled when weighted, no factorization,
+// O(iterations · nnz) per bin. A non-nil keep drops the rows with
+// keep[i] == false from the system (linalg.RowMasked, bitwise-identical
+// to physically removing them), so a bin with missing link reports is
+// fitted to the surviving equations only. A stalled solve is settled by
+// one policy (see settle) and reported in the Projection. The result can
+// contain small negative entries; the caller is expected to clamp and
+// re-balance (see EstimateBin).
+func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64, keep []bool, weighted bool) (*tm.TrafficMatrix, Projection, error) {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	var err error
+	if sc.res, err = s.residual(sc.res, prior, y, keep); err != nil {
+		return nil, Projection{}, err
+	}
+	var op linalg.Op = s.rm.CSR()
+	var sqrtw []float64
+	if weighted {
+		sc.sqrtw = sqrtWeights(sc.sqrtw, prior)
+		sqrtw = sc.sqrtw
+		op = linalg.NewColScaled(op, sqrtw)
+	}
+	if keep != nil {
+		op = linalg.NewRowMasked(op, keep)
+	}
+	z, rep, err := linalg.LSQR(op, sc.res, linalg.LSQROptions{MaxIter: s.maxIter, Work: &sc.lsqr})
+	if err != nil {
+		return nil, Projection{}, fmt.Errorf("estimation: projection: %w", err)
+	}
+	return s.settle(prior, y, z, sqrtw, rep, keep != nil)
+}
+
+// ProjectReport is Project for an unweighted, fully observed bin, in the
+// result shape of the icbench stage tracer — its only caller, which
+// cannot change alongside the solver. Kept until the tracer calls
+// Project directly.
+func (s *Solver) ProjectReport(prior *tm.TrafficMatrix, y []float64) (*tm.TrafficMatrix, bool, int, error) {
+	est, pr, err := s.Project(prior, y, nil, false)
+	return est, pr.Stalled, pr.Iterations, err
+}
+
+// ProjectMaskedReport is Project for an unweighted bin with the row mask
+// keep, in the result shape of the icbench stage tracer; kept for the
+// same reason as ProjectReport.
+func (s *Solver) ProjectMaskedReport(prior *tm.TrafficMatrix, y []float64, keep []bool) (*tm.TrafficMatrix, bool, int, error) {
+	est, pr, err := s.Project(prior, y, keep, false)
+	return est, pr.Stalled, pr.Iterations, err
 }
 
 // denseFallbackMaxFlops bounds the routing matrices for which a stalled
@@ -183,57 +280,60 @@ func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64) (*tm.TrafficMatri
 // iterate instead of turning one bad bin into a run-killing SVD.
 const denseFallbackMaxFlops = 5e7
 
-// ProjectReport is Project, additionally reporting whether the bin's
-// iterative solve stalled (hit its iteration budget before tolerance).
-// The routing systems of this repository converge in a few dozen
-// iterations, so a stall is exceptional. A stalled bin still produces an
-// estimate: from the dense SVD reference path when the factorization is
-// affordable at the problem's scale (see denseFallbackMaxFlops), and
-// from LSQR's almost-converged minimum-norm iterate otherwise. Either
-// way the stall is reported, so the pipeline can count it
-// (BinDiag/RunStats) instead of hiding a quality or cost surprise.
-//
-// iters is the number of LSQR iterations the bin consumed — the
-// per-bin convergence cost, surfaced so operators can watch it drift as
-// topologies mutate (BinDiag.LSQRIterations, RunStats, service stats).
-// It counts the iterative work even when a stall escalated the estimate
-// to the dense reference.
-func (s *Solver) ProjectReport(prior *tm.TrafficMatrix, y []float64) (est *tm.TrafficMatrix, stalled bool, iters int, err error) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	res, err := s.unweightedSetupTo(sc, prior, y)
-	if err != nil {
-		return nil, false, 0, err
-	}
+// settle forms the estimate prior + W^{1/2}·z (sqrtw nil: W = I) from
+// LSQR's correction z and applies the one stall policy of every
+// iterative path, weighted or not, cold or blocked: a stalled, fully
+// observed solve escalates to the dense reference when the
+// factorization is affordable at the problem's scale
+// (denseFallbackMaxFlops); above the cap, and always on a masked solve
+// (the dense reference has no row-mask form), the bin keeps LSQR's
+// almost-converged minimum-norm iterate. Either way the stall is
+// reported, so the pipeline can count it instead of hiding a quality or
+// cost surprise.
+func (s *Solver) settle(prior *tm.TrafficMatrix, y, z, sqrtw []float64, rep linalg.LSQRReport, masked bool) (*tm.TrafficMatrix, Projection, error) {
+	pr := Projection{Iterations: rep.Iterations, Stalled: !rep.Converged}
 	csr := s.rm.CSR()
-	z, rep, err := linalg.LSQR(csr, res, linalg.LSQROptions{Work: &sc.lsqr})
-	if err != nil {
-		return nil, false, 0, fmt.Errorf("estimation: projection: %w", err)
-	}
 	rows := float64(csr.Rows())
-	if !rep.Converged && rows*rows*float64(csr.Cols()) <= denseFallbackMaxFlops {
-		est, err := s.ProjectDense(prior, y)
-		return est, true, rep.Iterations, err
+	if pr.Stalled && !masked && rows*rows*float64(csr.Cols()) <= denseFallbackMaxFlops {
+		pr.DenseFallback = true
+		est, err := s.ProjectDense(prior, y, sqrtw != nil)
+		return est, pr, err
 	}
-	out := prior.Clone()
-	ov := out.Vec()
-	for i := range ov {
-		ov[i] += z[i]
-	}
-	return out, !rep.Converged, rep.Iterations, nil
+	return addCorrection(prior, z, sqrtw), pr, nil
 }
 
-// ProjectDense is the dense reference implementation of Project: it
-// applies the pseudo-inverse R⁺ = V Σ⁺ Uᵀ through the lazily-cached SVD
-// of R. Selected by Options.Dense (icest -dense) for cross-checking the
-// iterative fast path — the two agree to well below 1e-8 relative,
-// enforced by tests. The first call pays the one-time O((L+2n)²·n²)
-// Jacobi factorization that NewSolver used to pay eagerly; per-bin work
-// after that is two dense matrix-vector products.
-func (s *Solver) ProjectDense(prior *tm.TrafficMatrix, y []float64) (*tm.TrafficMatrix, error) {
-	res, err := s.unweightedSetup(prior, y)
-	if err != nil {
+// ProjectDense is the dense reference implementation of Project for a
+// fully observed bin, selected by WithDense (icest -dense) for
+// cross-checking the iterative path and taken by an affordable stall.
+// Unweighted, it applies the pseudo-inverse R⁺ = V Σ⁺ Uᵀ through the
+// lazily-cached SVD of R: the first call pays the one-time
+// O((L+2n)²·n²) Jacobi factorization, later ones two dense
+// matrix-vector products. Weighted, it materializes R·W^{1/2} and solves
+// the minimum-norm problem by a fresh SVD — O((L+2n)²·n²) per call. The
+// two paths agree with Project to well below 1e-8 (unweighted) and 1e-6
+// (weighted) relative, enforced by tests.
+func (s *Solver) ProjectDense(prior *tm.TrafficMatrix, y []float64, weighted bool) (*tm.TrafficMatrix, error) {
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	var err error
+	if sc.res, err = s.residual(sc.res, prior, y, nil); err != nil {
 		return nil, err
+	}
+	if weighted {
+		sqrtw := sqrtWeights(sc.sqrtw, prior)
+		sc.sqrtw = sqrtw
+		rw := s.rm.Dense().Clone()
+		for r := 0; r < rw.Rows(); r++ {
+			row := rw.Row(r)
+			for c := range row {
+				row[c] *= sqrtw[c]
+			}
+		}
+		z, err := linalg.SolveMinNorm(rw, sc.res, 0)
+		if err != nil {
+			return nil, fmt.Errorf("estimation: weighted projection: %w", err)
+		}
+		return addCorrection(prior, z, sqrtw), nil
 	}
 	if err := s.FactorDense(); err != nil {
 		return nil, err
@@ -241,18 +341,16 @@ func (s *Solver) ProjectDense(prior *tm.TrafficMatrix, y []float64) (*tm.Traffic
 	// U and V are walked column-by-column; ColInto into two reused
 	// buffers keeps the inner products on contiguous memory instead of
 	// strided At calls.
-	m := len(res)
 	ncols := s.rm.CSR().Cols()
 	correction := make([]float64, ncols)
-	ucol := make([]float64, m)
+	ucol := make([]float64, len(sc.res))
 	vcol := make([]float64, ncols)
 	for k, sv := range s.svd.S {
 		if sv <= s.cut {
 			continue
 		}
 		s.svd.U.ColInto(k, ucol)
-		ub := linalg.Dot(ucol, res)
-		coef := ub / sv
+		coef := linalg.Dot(ucol, sc.res) / sv
 		if coef == 0 {
 			continue
 		}
@@ -261,220 +359,7 @@ func (s *Solver) ProjectDense(prior *tm.TrafficMatrix, y []float64) (*tm.Traffic
 			correction[c] += coef * v
 		}
 	}
-	out := prior.Clone()
-	ov := out.Vec()
-	for i := range ov {
-		ov[i] += correction[i]
-	}
-	return out, nil
-}
-
-// maskObservation returns a copy of y with dropped rows zeroed, so NaN
-// missing-report markers cannot poison the residual arithmetic of a
-// masked solve (the dropped equations contribute nothing either way).
-func maskObservation(y []float64, keep []bool) []float64 {
-	yc := make([]float64, len(y))
-	for i, v := range y {
-		if keep[i] {
-			yc[i] = v
-		}
-	}
-	return yc
-}
-
-// ProjectMaskedReport is ProjectReport for a bin with missing or
-// invalid link reports: rows with keep[i] == false are dropped from the
-// least-squares system (linalg.RowMasked), so the correction is fitted
-// to the surviving equations only — the estimator's graceful-
-// degradation path. The masked view is bitwise-identical to physically
-// removing the rows, which keeps degraded bins inside the pipeline's
-// workers=1 ≡ workers=N determinism contract.
-//
-// Unlike the full-observability path, a stalled masked solve never
-// escalates to the dense SVD reference — the lazily-factored SVD has no
-// per-bin row-mask form — and keeps LSQR's almost-converged minimum-
-// norm iterate instead, reported through stalled.
-func (s *Solver) ProjectMaskedReport(prior *tm.TrafficMatrix, y []float64, keep []bool) (est *tm.TrafficMatrix, stalled bool, iters int, err error) {
-	if len(keep) != s.rm.Rows() {
-		return nil, false, 0, fmt.Errorf("%w: row mask of %d, want %d", ErrInput, len(keep), s.rm.Rows())
-	}
-	res, err := s.unweightedSetup(prior, maskObservation(y, keep))
-	if err != nil {
-		return nil, false, 0, err
-	}
-	for i := range res {
-		if !keep[i] {
-			res[i] = 0
-		}
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	op := linalg.NewRowMasked(s.rm.CSR(), keep)
-	z, rep, err := linalg.LSQR(op, res, linalg.LSQROptions{Work: &sc.lsqr})
-	if err != nil {
-		return nil, false, 0, fmt.Errorf("estimation: masked projection: %w", err)
-	}
-	out := prior.Clone()
-	ov := out.Vec()
-	for i := range ov {
-		ov[i] += z[i]
-	}
-	return out, !rep.Converged, rep.Iterations, nil
-}
-
-// ProjectWeightedMaskedReport is the weighted counterpart of
-// ProjectMaskedReport: the prior-weighted correction is fitted against
-// the row-masked, implicitly column-scaled routing operator. As on the
-// unweighted masked path there is no dense fallback — a stalled bin
-// keeps the almost-converged iterate and reports stalled.
-func (s *Solver) ProjectWeightedMaskedReport(prior *tm.TrafficMatrix, y []float64, keep []bool) (est *tm.TrafficMatrix, stalled bool, iters int, err error) {
-	if len(keep) != s.rm.Rows() {
-		return nil, false, 0, fmt.Errorf("%w: row mask of %d, want %d", ErrInput, len(keep), s.rm.Rows())
-	}
-	res, sqrtw, err := s.weightedSetup(prior, maskObservation(y, keep))
-	if err != nil {
-		return nil, false, 0, err
-	}
-	for i := range res {
-		if !keep[i] {
-			res[i] = 0
-		}
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	op := linalg.NewRowMasked(linalg.NewColScaled(s.rm.CSR(), sqrtw), keep)
-	z, rep, err := linalg.LSQR(op, res, linalg.LSQROptions{Work: &sc.lsqr})
-	if err != nil {
-		return nil, false, 0, fmt.Errorf("estimation: masked weighted projection: %w", err)
-	}
-	out := prior.Clone()
-	ov := out.Vec()
-	for i := range ov {
-		ov[i] += sqrtw[i] * z[i]
-	}
-	return out, !rep.Converged, rep.Iterations, nil
-}
-
-// weightedSetup validates the inputs of the weighted projection and
-// computes its shared ingredients: the measurement residual y − R·prior
-// and the per-flow column scaling W^{1/2} with W = diag(max(prior,
-// floor)). The floor — a small fraction of the mean prior flow — keeps
-// zero prior entries correctable without dominating the geometry.
-func (s *Solver) weightedSetup(prior *tm.TrafficMatrix, y []float64) (res, sqrtw []float64, err error) {
-	if prior.N() != s.rm.N {
-		return nil, nil, fmt.Errorf("%w: prior over %d nodes for n=%d routing", ErrInput, prior.N(), s.rm.N)
-	}
-	if len(y) != s.rm.Rows() {
-		return nil, nil, fmt.Errorf("%w: y of %d, want %d", ErrInput, len(y), s.rm.Rows())
-	}
-	rp, err := s.rm.CSR().MulVec(prior.Vec())
-	if err != nil {
-		return nil, nil, err
-	}
-	res = linalg.SubVec(y, rp)
-
-	ncols := s.rm.CSR().Cols()
-	var mean float64
-	for _, v := range prior.Vec() {
-		mean += v
-	}
-	mean /= float64(ncols)
-	floor := 1e-3 * mean
-	if floor <= 0 {
-		floor = 1e-12
-	}
-	sqrtw = make([]float64, ncols)
-	for i, v := range prior.Vec() {
-		w := v
-		if w < floor {
-			w = floor
-		}
-		sqrtw[i] = math.Sqrt(w)
-	}
-	return res, sqrtw, nil
-}
-
-// ProjectWeighted performs the prior-weighted tomogravity step:
-//
-//	minimize ||W^{-1/2}·(x - prior)||₂  subject to  R·x = y
-//
-// with W = diag(max(prior, floor)). Substituting x = prior + W^{1/2}·z
-// reduces it to the minimum-norm solution of (R·W^{1/2})·z = y − R·prior,
-// which is solved by LSQR against the implicitly column-scaled sparse
-// routing operator: no matrix copy, no per-bin factorization, a few
-// dozen sparse mat-vecs per bin. That makes -weighted usable on the
-// paper's thousand-bin sweeps — per-bin cost is within a small factor of
-// the unweighted Project instead of the O((L+2n)²·n²) Jacobi SVD the
-// dense path pays (kept available as ProjectWeightedDense; the two agree
-// to well below 1e-6 relative, enforced by tests and benchmarks). The
-// weighting reproduces Zhang et al.'s observation that corrections
-// should scale with flow size.
-func (s *Solver) ProjectWeighted(prior *tm.TrafficMatrix, y []float64) (*tm.TrafficMatrix, error) {
-	est, _, _, err := s.ProjectWeightedReport(prior, y)
-	return est, err
-}
-
-// ProjectWeightedReport is ProjectWeighted, additionally reporting
-// whether the bin fell back to the dense reference path because the
-// iterative solve stalled. Extreme column scalings (very heavy-tailed
-// priors) can stall LSQR near the rounding floor; falling back per bin
-// preserves the pre-LSQR guarantee that every weighted bin produces an
-// estimate, and the flag lets the pipeline count fallbacks (RunStats)
-// instead of hiding a 500x per-bin slowdown. iters reports the LSQR
-// iterations consumed, as in ProjectReport.
-func (s *Solver) ProjectWeightedReport(prior *tm.TrafficMatrix, y []float64) (est *tm.TrafficMatrix, fellBackDense bool, iters int, err error) {
-	res, sqrtw, err := s.weightedSetup(prior, y)
-	if err != nil {
-		return nil, false, 0, err
-	}
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	op := linalg.NewColScaled(s.rm.CSR(), sqrtw)
-	z, rep, err := linalg.LSQR(op, res, linalg.LSQROptions{Work: &sc.lsqr})
-	if err != nil {
-		return nil, false, 0, fmt.Errorf("estimation: weighted projection: %w", err)
-	}
-	if !rep.Converged {
-		est, err := s.ProjectWeightedDense(prior, y)
-		return est, true, rep.Iterations, err
-	}
-	out := prior.Clone()
-	ov := out.Vec()
-	for i := range ov {
-		ov[i] += sqrtw[i] * z[i]
-	}
-	return out, false, rep.Iterations, nil
-}
-
-// ProjectWeightedDense is the legacy dense path of ProjectWeighted: it
-// materializes the column-scaled routing matrix and solves the
-// minimum-norm problem by a fresh Jacobi SVD — O((L+2n)²·n²) per call.
-// It is kept as the reference implementation (selected by
-// Options.WeightedDense) for cross-checking the LSQR fast path; prefer
-// ProjectWeighted for sweeps.
-func (s *Solver) ProjectWeightedDense(prior *tm.TrafficMatrix, y []float64) (*tm.TrafficMatrix, error) {
-	res, sqrtw, err := s.weightedSetup(prior, y)
-	if err != nil {
-		return nil, err
-	}
-	// Scaled routing matrix R·W^{1/2} (column scaling).
-	rw := s.rm.Dense().Clone()
-	for r := 0; r < rw.Rows(); r++ {
-		row := rw.Row(r)
-		for c := range row {
-			row[c] *= sqrtw[c]
-		}
-	}
-	z, err := linalg.SolveMinNorm(rw, res, 0)
-	if err != nil {
-		return nil, fmt.Errorf("estimation: weighted projection: %w", err)
-	}
-	out := prior.Clone()
-	ov := out.Vec()
-	for i := range ov {
-		ov[i] += sqrtw[i] * z[i]
-	}
-	return out, nil
+	return addCorrection(prior, correction, nil), nil
 }
 
 // IPF rescales x by iterative proportional fitting until its row sums

@@ -70,19 +70,19 @@ func TestProjectLSQRMatchesDenseRandomized(t *testing.T) {
 					y[i] *= 1 + 0.05*v()
 				}
 			}
-			fast, fellBack, iters, err := solver.ProjectReport(p.Clone(), y)
+			fast, pr, err := solver.Project(p.Clone(), y, nil, false)
 			if err != nil {
 				t.Fatalf("seed %d bin %d: lsqr: %v", seed, tb, err)
 			}
-			if iters <= 0 {
-				t.Fatalf("seed %d bin %d: reported %d LSQR iterations", seed, tb, iters)
+			if pr.Iterations <= 0 {
+				t.Fatalf("seed %d bin %d: reported %d LSQR iterations", seed, tb, pr.Iterations)
 			}
-			if fellBack {
+			if pr.Stalled {
 				// A fallback would make the agreement vacuous (dense vs
 				// dense) — the iterative path must actually converge.
 				t.Fatalf("seed %d bin %d: LSQR stalled and fell back to the dense path", seed, tb)
 			}
-			dense, err := solver.ProjectDense(p.Clone(), y)
+			dense, err := solver.ProjectDense(p.Clone(), y, false)
 			if err != nil {
 				t.Fatalf("seed %d bin %d: dense: %v", seed, tb, err)
 			}
@@ -108,7 +108,7 @@ func floatStream(seed uint64) func() float64 {
 
 // TestUnweightedDenseOptionEndToEnd mirrors the weighted agreement
 // contract for the unweighted path: on Geant-like and Totem-like
-// scenarios the default iterative pipeline and the Options.Dense
+// scenarios the default iterative pipeline and the WithDense
 // reference pipeline must agree on every bin's estimate to 1e-6.
 func TestUnweightedDenseOptionEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -137,14 +137,10 @@ func TestUnweightedDenseOptionEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			estFast, errsFast, err := Run(rm, d.Series, GravityPrior{}, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			estDense, errsDense, err := Run(rm, d.Series, GravityPrior{}, Options{Dense: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fast := estimateSeries(t, rm, d.Series, GravityPrior{})
+			dense := estimateSeries(t, rm, d.Series, GravityPrior{}, WithDense(true))
+			estFast, errsFast := fast.Estimates, fast.Errors
+			estDense, errsDense := dense.Estimates, dense.Errors
 			for i := range errsFast {
 				if math.Abs(errsFast[i]-errsDense[i]) > 1e-6*(1+errsDense[i]) {
 					t.Errorf("bin %d: fast err %g vs dense err %g", i, errsFast[i], errsDense[i])
@@ -181,10 +177,8 @@ func TestISPLike200EstimationCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, errs, stats, err := RunWithSolverStats(mustSolver(t, rm), d.Series, GravityPrior{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := estimateSeries(t, rm, d.Series, GravityPrior{})
+	errs, stats := r.Errors, r.Stats
 	if stats.ProjectStalls != 0 {
 		t.Errorf("%d/%d bins stalled at n=200", stats.ProjectStalls, stats.Bins)
 	}

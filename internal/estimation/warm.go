@@ -8,7 +8,7 @@ import (
 	"ictm/internal/tm"
 )
 
-// Chunk geometry of the warm-started series path (Options.WarmStart).
+// Chunk geometry of the warm-started series path (WithWarmStart).
 //
 // warmChunkBins is the fixed number of consecutive bins one chunk
 // covers. Chunks are the unit of parallelism AND the warm-start
@@ -71,7 +71,7 @@ func (e *Estimator) estimateChunkWarm(prior Prior, lo, hi int, observed func(int
 	// The blocked solver implements only the default projection: any
 	// weighted or dense option routes every bin through projectBin below
 	// (masked bins always do).
-	blockable := !e.opts.Weighted && !e.opts.WeightedDense && !e.opts.Dense
+	blockable := !e.opts.Weighted && !e.opts.Dense
 	bw := make([]warmBin, hi-lo)
 	var group []*warmBin
 	for i := range bw {
@@ -87,7 +87,7 @@ func (e *Estimator) estimateChunkWarm(prior Prior, lo, hi int, observed func(int
 			return err
 		}
 		if blockable && b.dropped == 0 {
-			if b.res, err = s.unweightedSetup(b.p, y); err != nil {
+			if b.res, err = s.residual(nil, b.p, y, nil); err != nil {
 				return err
 			}
 			group = append(group, b)
@@ -117,8 +117,8 @@ func (e *Estimator) estimateChunkWarm(prior Prior, lo, hi int, observed func(int
 
 // solveBlocked runs one chunk's blockable bins through LSQRMulti in
 // blocks of up to warmBlockK, chaining the warm start between blocks,
-// and materializes each bin's estimate (prior + correction, or the
-// dense stall fallback exactly as ProjectReport would take it).
+// and settles each bin's estimate by the same stall policy as
+// Solver.Project (Solver.settle).
 func (e *Estimator) solveBlocked(group []*warmBin) error {
 	if len(group) == 0 {
 		return nil
@@ -136,34 +136,18 @@ func (e *Estimator) solveBlocked(group []*warmBin) error {
 			bs[i] = b.res
 			dst[i] = make([]float64, csr.Cols())
 		}
-		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQRMultiOptions{X0: x0, Work: &sc.multi})
+		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQRMultiOptions{MaxIter: s.maxIter, X0: x0, Work: &sc.multi})
 		if err != nil {
 			return fmt.Errorf("estimation: project bin %d: %w", g[0].t, err)
 		}
 		for i, b := range g {
-			rep := reps[i]
-			b.diag.LSQRIterations = rep.Iterations
+			est, pr, err := s.settle(b.p, b.y, dst[i], nil, reps[i], false)
+			if err != nil {
+				return fmt.Errorf("estimation: project bin %d: %w", b.t, err)
+			}
+			b.est = est
+			b.diag.recordProjection(pr, false)
 			b.diag.WarmStarted = x0 != nil
-			rows := float64(csr.Rows())
-			if !rep.Converged && rows*rows*float64(csr.Cols()) <= denseFallbackMaxFlops {
-				// Same escalation as ProjectReport: a stalled bin pays the
-				// dense reference when affordable, and the stall is counted
-				// either way.
-				est, err := s.ProjectDense(b.p, b.y)
-				if err != nil {
-					return fmt.Errorf("estimation: project bin %d: %w", b.t, err)
-				}
-				b.est = est
-				b.diag.ProjectStalled = true
-				continue
-			}
-			out := b.p.Clone()
-			ov := out.Vec()
-			for j, z := range dst[i] {
-				ov[j] += z
-			}
-			b.est = out
-			b.diag.ProjectStalled = !rep.Converged
 		}
 		// The next block warm-starts from this block's last correction —
 		// dst is owned storage (never recycled by the Work area), so the

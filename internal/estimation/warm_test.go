@@ -299,7 +299,7 @@ func TestDenseDowngradedSurfaced(t *testing.T) {
 		want bool
 	}{
 		{"dense", []Option{WithDense(true)}, true},
-		{"weighted-dense", []Option{WithWeightedDense(true)}, true},
+		{"weighted+dense", []Option{WithWeighted(true), WithDense(true)}, true},
 		{"default-masked", nil, false},
 	}
 	for _, tc := range cases {

@@ -33,8 +33,8 @@ func weightedScenario(t *testing.T, sc synth.Scenario, binsPerWeek int) (*routin
 }
 
 // TestProjectWeightedLSQRMatchesDense is the PR's agreement contract:
-// on Geant-like and Totem-like scenarios the LSQR fast path must match
-// the legacy dense per-bin-SVD path within 1e-6 relative error on every
+// on Geant-like and Totem-like scenarios the weighted LSQR fast path must
+// match the weighted dense reference (a fresh SVD per bin) within 1e-6 relative error on every
 // bin's estimate.
 func TestProjectWeightedLSQRMatchesDense(t *testing.T) {
 	for _, tc := range []struct {
@@ -65,19 +65,19 @@ func TestProjectWeightedLSQRMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fast, fellBack, iters, err := solver.ProjectWeightedReport(prior.Clone(), y)
+				fast, pr, err := solver.Project(prior.Clone(), y, nil, true)
 				if err != nil {
 					t.Fatalf("bin %d: lsqr: %v", tb, err)
 				}
-				if iters <= 0 {
-					t.Fatalf("bin %d: reported %d LSQR iterations", tb, iters)
+				if pr.Iterations <= 0 {
+					t.Fatalf("bin %d: reported %d LSQR iterations", tb, pr.Iterations)
 				}
-				if fellBack {
+				if pr.Stalled {
 					// A fallback would make the agreement below vacuous
 					// (dense vs dense) — the fast path must actually run.
 					t.Fatalf("bin %d: LSQR stalled and fell back to the dense path", tb)
 				}
-				dense, err := solver.ProjectWeightedDense(prior.Clone(), y)
+				dense, err := solver.ProjectDense(prior.Clone(), y, true)
 				if err != nil {
 					t.Fatalf("bin %d: dense: %v", tb, err)
 				}
@@ -94,23 +94,16 @@ func TestProjectWeightedLSQRMatchesDense(t *testing.T) {
 	}
 }
 
-// TestWeightedDenseOptionEndToEnd checks that the legacy path stays
-// selectable through Options.WeightedDense and that the two pipelines
-// produce near-identical per-bin errors end to end.
+// TestWeightedDenseOptionEndToEnd checks that the weighted dense
+// reference is selectable as WithWeighted + WithDense and that the two
+// pipelines produce near-identical per-bin errors end to end.
 func TestWeightedDenseOptionEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: runs the dense reference pipeline end to end")
 	}
 	rm, d := weightedScenario(t, synth.GeantLike(), 3)
-	_, errsFast, err := Run(rm, d.Series, GravityPrior{}, Options{Weighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// WeightedDense alone implies Weighted (matching the icest CLI).
-	_, errsDense, err := Run(rm, d.Series, GravityPrior{}, Options{WeightedDense: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	errsFast := estimateSeries(t, rm, d.Series, GravityPrior{}, WithWeighted(true)).Errors
+	errsDense := estimateSeries(t, rm, d.Series, GravityPrior{}, WithWeighted(true), WithDense(true)).Errors
 	for i := range errsFast {
 		if math.Abs(errsFast[i]-errsDense[i]) > 1e-6*(1+errsDense[i]) {
 			t.Errorf("bin %d: fast err %g vs dense err %g", i, errsFast[i], errsDense[i])

@@ -48,8 +48,8 @@ type Matrix struct {
 	csr *linalg.Sparse
 
 	// dense lazily materializes the dense form of csr on first Dense()
-	// call. Only the dense reference paths (Solver.ProjectDense,
-	// Solver.ProjectWeightedDense) pay for it.
+	// call. Only the dense reference path (Solver.ProjectDense) pays
+	// for it.
 	denseOnce sync.Once
 	dense     *linalg.Matrix
 }
