@@ -811,6 +811,97 @@ func BenchmarkEngineInlinePrior(b *testing.B) {
 	}
 }
 
+// --- stream grouping benchmarks (a served day vs per-bin solves) ---
+
+// benchDay100 builds the grouping pair's fixture: one day of 24 clean
+// hourly ISPLike(100) observations — the shape of an icserve backfill
+// request — with its routing matrix and an IC stable-f prior state.
+func benchDay100(b *testing.B) (topology.Spec, *RoutingMatrix, []serve.Bin, estimation.PriorState) {
+	b.Helper()
+	sc := synth.ISPLike(100)
+	sc.BinsPerWeek = 24
+	sc.Weeks = 1
+	d, err := synth.Generate(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := sc.Topology()
+	g, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rm, err := routing.Build(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bins := make([]serve.Bin, d.Series.Len())
+	for i := range bins {
+		y, err := rm.LinkLoads(d.Series.At(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		bins[i] = serve.Bin{T: i, Y: y}
+	}
+	return spec, rm, bins, estimation.PriorState{Name: "ic-stable-f", F: 0.25}
+}
+
+// BenchmarkEngineDay100 serves the day through Engine.EstimateBatch on
+// one worker: the stream's pending bins are estimated in groups, whose
+// clean bins share one blocked LSQRMulti solve. The CI gate holds it at
+// least 1.3x faster than BenchmarkEstimateBinDay100 (benchcheck
+// -min-ratio).
+func BenchmarkEngineDay100(b *testing.B) {
+	spec, _, bins, state := benchDay100(b)
+	engine := serve.NewEngine(1)
+	if _, _, err := engine.RegisterTopology("bench", spec); err != nil {
+		b.Fatal(err)
+	}
+	handle, _, err := engine.RegisterPrior("bench", state)
+	if err != nil {
+		b.Fatal(err)
+	}
+	session := serve.SessionSpec{Topology: "bench", Prior: handle}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := engine.EstimateBatch(context.Background(), session, bins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(out) != len(bins) {
+			b.Fatalf("%d estimates for %d bins", len(out), len(bins))
+		}
+		for _, est := range out {
+			if est.Error != "" {
+				b.Fatal(est.Error)
+			}
+		}
+	}
+}
+
+// BenchmarkEstimateBinDay100 estimates the same day one EstimateBin
+// call per bin: one standalone LSQR solve each.
+func BenchmarkEstimateBinDay100(b *testing.B) {
+	_, rm, bins, state := benchDay100(b)
+	est, err := estimation.NewEstimator(rm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prior, err := est.RegisterPrior(state)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bin := range bins {
+			if _, _, err := est.EstimateBin(prior, bin.T, bin.Y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkAblationRoutingRingVsWaxman compares routing-matrix build
 // cost across topology families of equal size.
 func BenchmarkAblationRoutingRing(b *testing.B) {

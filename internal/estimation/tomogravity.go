@@ -60,16 +60,35 @@ type Solver struct {
 	cut     float64
 }
 
-// solveScratch is the reusable working storage of one in-flight bin:
-// the projection's residual and weights, the LSQR work area (single-RHS and
-// blocked), and the IPF marginal buffers. Pooled on the Solver; not
-// safe for concurrent use — each solve checks one out for its duration.
+// solveScratch is the reusable working storage of one in-flight solve:
+// the projection's residual and weights, the LSQR work areas (single-RHS
+// and blocked), a blocked solve's per-lane buffers and warm start, and
+// the IPF marginal buffers. Pooled on the Solver; not safe for
+// concurrent use — each solve checks one out for its duration.
 type solveScratch struct {
-	res     []float64 // rows-sized: the measurement residual
-	sqrtw   []float64 // n²-sized: the weighted projection's W^{1/2}
-	lsqr    linalg.LSQRWork
-	multi   linalg.LSQRMultiWork
-	ing, eg []float64 // n-sized: IPF marginal accumulators
+	res      []float64 // rows-sized: the measurement residual
+	sqrtw    []float64 // n²-sized: the weighted projection's W^{1/2}
+	lsqr     linalg.LSQRWork
+	multi    linalg.LSQRMultiWork
+	blockRes [][]float64         // per lane, rows-sized: blocked residuals
+	blockDst [][]float64         // per lane, n²-sized: blocked corrections
+	reps     []linalg.LSQRReport // per lane: a lane-by-lane block's reports
+	x0       []float64           // n²-sized: the warm chain's start
+	ing, eg  []float64           // n-sized: IPF marginal accumulators
+}
+
+// block returns the per-lane buffers of one k-lane blocked solve: k
+// residual slots (sized by Solver.residual) and k correction buffers of
+// length cols.
+func (sc *solveScratch) block(k, cols int) (bs, dst [][]float64) {
+	for len(sc.blockDst) < k {
+		sc.blockRes = append(sc.blockRes, nil)
+		sc.blockDst = append(sc.blockDst, nil)
+	}
+	for i := 0; i < k; i++ {
+		sc.blockDst[i] = growFloat(sc.blockDst[i], cols)
+	}
+	return sc.blockRes[:k], sc.blockDst[:k]
 }
 
 // getScratch checks a scratch object out of the pool (allocating the

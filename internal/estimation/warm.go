@@ -1,9 +1,6 @@
 package estimation
 
 import (
-	"fmt"
-
-	"ictm/internal/linalg"
 	"ictm/internal/parallel"
 	"ictm/internal/tm"
 )
@@ -28,21 +25,6 @@ const (
 	warmBlockK    = 8
 )
 
-// warmBin carries one bin of a chunk through the warm path's stages:
-// observation, validation, prior, residual (blockable bins), solve and
-// post-processing.
-type warmBin struct {
-	t       int
-	y       []float64
-	keep    []bool
-	dropped int
-	ing, eg []float64 // alias y (SplitLoads)
-	p       *tm.TrafficMatrix
-	res     []float64 // measurement residual; only set on blockable bins
-	diag    BinDiag
-	est     *tm.TrafficMatrix
-}
-
 // estimateSeriesWarm is EstimateSeries' warm-started, blocked solve
 // path: fixed-size contiguous chunks fan out over the worker bound and
 // each chunk is estimated sequentially by estimateChunkWarm. observed
@@ -57,102 +39,34 @@ func (e *Estimator) estimateSeriesWarm(prior Prior, bins int, observed func(int)
 	})
 }
 
-// estimateChunkWarm estimates bins [lo, hi) sequentially. The clean
-// unweighted full-observability bins are solved in blocks of up to
-// warmBlockK right-hand sides by one LSQRMulti call each, every block
-// warm-started from the previous block's last converged correction
-// (the first block starts cold from the prior, so the chunk depends on
-// nothing outside itself). Masked bins, weighted/dense option runs and
-// every post-processing step go through exactly the same prepareBin/
-// projectBin/finishBin stages as the cold path, so the two paths cannot
-// drift in semantics or error text.
+// estimateChunkWarm estimates bins [lo, hi) sequentially through the
+// grouped path (estimateGroup). The clean unweighted full-observability
+// bins are solved in blocks of up to warmBlockK right-hand sides, every
+// block warm-started from the previous block's last converged
+// correction (the first block starts cold from the prior, so the chunk
+// depends on nothing outside itself). Masked bins, weighted/dense
+// option runs and every post-processing step go through exactly the
+// same prepareBin/projectBin/finishBin stages as the cold path, so the
+// two paths cannot drift in semantics or error text. The chunk reports
+// its first failing bin's error.
 func (e *Estimator) estimateChunkWarm(prior Prior, lo, hi int, observed func(int) ([]float64, error), finish func(int, *tm.TrafficMatrix, BinDiag) error) error {
-	s := e.solver
-	// The blocked solver implements only the default projection: any
-	// weighted or dense option routes every bin through projectBin below
-	// (masked bins always do).
-	blockable := !e.opts.Weighted && !e.opts.Dense
-	bw := make([]warmBin, hi-lo)
-	var group []*warmBin
-	for i := range bw {
-		b := &bw[i]
-		b.t = lo + i
-		b.diag = BinDiag{IPFConverged: true}
-		y, err := observed(b.t)
+	bins := make([]groupBin, hi-lo)
+	for i := range bins {
+		y, err := observed(lo + i)
 		if err != nil {
 			return err
 		}
-		b.y = y
-		if b.keep, b.dropped, b.ing, b.eg, b.p, err = prepareBin(s, prior, b.t, y); err != nil {
-			return err
-		}
-		if blockable && b.dropped == 0 {
-			if b.res, err = s.residual(nil, b.p, y, nil); err != nil {
-				return err
-			}
-			group = append(group, b)
-		}
+		bins[i].t, bins[i].y = lo+i, y
 	}
-	if err := e.solveBlocked(group); err != nil {
-		return err
-	}
-	for i := range bw {
-		b := &bw[i]
-		if b.est == nil {
-			est, err := projectBin(s, b.p, b.y, b.keep, b.dropped, e.opts, &b.diag)
-			if err != nil {
-				return fmt.Errorf("estimation: project bin %d: %w", b.t, err)
-			}
-			b.est = est
-		}
-		if err := finishBin(s, b.est, b.ing, b.eg, e.opts, &b.diag); err != nil {
-			return fmt.Errorf("estimation: IPF bin %d: %w", b.t, err)
+	e.estimateGroup(prior, bins, warmBlockK, true)
+	for i := range bins {
+		b := &bins[i]
+		if b.err != nil {
+			return b.err
 		}
 		if err := finish(b.t, b.est, b.diag); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// solveBlocked runs one chunk's blockable bins through LSQRMulti in
-// blocks of up to warmBlockK, chaining the warm start between blocks,
-// and settles each bin's estimate by the same stall policy as
-// Solver.Project (Solver.settle).
-func (e *Estimator) solveBlocked(group []*warmBin) error {
-	if len(group) == 0 {
-		return nil
-	}
-	s := e.solver
-	csr := s.rm.CSR()
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	var x0 []float64
-	for start := 0; start < len(group); start += warmBlockK {
-		g := group[start:min(start+warmBlockK, len(group))]
-		bs := make([][]float64, len(g))
-		dst := make([][]float64, len(g))
-		for i, b := range g {
-			bs[i] = b.res
-			dst[i] = make([]float64, csr.Cols())
-		}
-		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQRMultiOptions{MaxIter: s.maxIter, X0: x0, Work: &sc.multi})
-		if err != nil {
-			return fmt.Errorf("estimation: project bin %d: %w", g[0].t, err)
-		}
-		for i, b := range g {
-			est, pr, err := s.settle(b.p, b.y, dst[i], nil, reps[i], false)
-			if err != nil {
-				return fmt.Errorf("estimation: project bin %d: %w", b.t, err)
-			}
-			b.est = est
-			b.diag.recordProjection(pr, false)
-			b.diag.WarmStarted = x0 != nil
-		}
-		// The next block warm-starts from this block's last correction —
-		// dst is owned storage (never recycled by the Work area), so the
-		// chain survives the next LSQRMulti call.
-		x0 = dst[len(g)-1]
 	}
 	return nil
 }

@@ -99,6 +99,13 @@ func (wk *LSQRMultiWork) prepare(m, n, k int) {
 // all still-running systems, which is the dominant cost of a sparse
 // LSQR iteration.
 //
+// The blocking pays only from a few systems up. Measured cold on the
+// ISPLike(100) routing system (148 iterations a system, 2-CPU host)
+// against k separate LSQR calls: k=1 runs at 0.69–0.74x, k=2 at
+// 0.90–0.96x, k=4 at 1.56–1.68x and k=8–16 at 1.74–1.99x; at n=22, k=1
+// runs at 0.43x. So k ≤ 2 is slower than LSQR, and callers solve
+// blocks of fewer than four systems through LSQR instead.
+//
 // bs holds the k right-hand sides (each length Rows); the solutions are
 // written to dst (k slices, each length Cols). The returned reports
 // alias opts.Work when it is supplied.

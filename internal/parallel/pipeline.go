@@ -1,5 +1,7 @@
 package parallel
 
+import "sync"
+
 // Result is one item's outcome in a Pipeline stream. Unlike ForEach —
 // which cancels a bounded batch at the first failure — a streaming
 // pipeline must keep serving after a bad item, so per-item errors travel
@@ -11,17 +13,23 @@ type Result[R any] struct {
 }
 
 // Pipeline is the streaming variant of the ordered worker pool: a fixed
-// set of workers maps an unbounded input stream through a function,
-// emitting results on Out() in exact submission order with bounded
-// buffering. Submit blocks once workers+buffer items are in flight and
-// unconsumed — backpressure propagates to the producer instead of
-// growing an unbounded queue.
+// set of workers maps an unbounded input stream through a batch
+// function, emitting one result per item on Out() in exact submission
+// order with bounded buffering. An idle worker takes a run of
+// consecutive pending items — a batch of at most maxBatch, sized by
+// batchSize — and hands it to fn in one call, so a function that
+// amortizes work across items (a blocked solve) sees several at once
+// whenever the producer runs ahead of the workers. Submit blocks once
+// workers+buffer items are submitted and not yet collected for Out() —
+// backpressure propagates to the producer instead of growing an
+// unbounded queue.
 //
-// Determinism contract (the streaming mirror of ForEach's): every item
-// is processed independently and results are reassembled in submission
-// order, so for a pure per-item fn the output stream is bit-identical
-// for any worker count, including workers=1. Worker count tunes
-// wall-clock and nothing else.
+// Determinism contract (the streaming mirror of ForEach's): how items
+// are grouped into batches depends on timing, so for the output stream
+// to be bit-identical for any worker count — including workers=1 — fn
+// must produce for each item what it would produce for that item alone.
+// Results are reassembled in submission order; worker count and
+// batching tune wall-clock and nothing else.
 //
 // Submit may be called from multiple goroutines; the output order is
 // then the serialization order of the Submit calls themselves (for a
@@ -29,67 +37,156 @@ type Result[R any] struct {
 // must not be called again; Out() drains the remaining in-flight items
 // and is then closed.
 type Pipeline[T, R any] struct {
-	jobs  chan pipeJob[T, R]
-	order chan chan Result[R]
-	out   chan Result[R]
-}
+	workers  int
+	maxBatch int
+	// window holds one token per submitted, not yet collected item: the
+	// backpressure bound. Its capacity is the length of the rings below,
+	// so an item's ring index seq%len is free whenever Submit gets a
+	// token for it.
+	window chan struct{}
+	out    chan Result[R]
 
-type pipeJob[T, R any] struct {
-	v    T
-	slot chan Result[R]
+	// Items and results live in fixed rings indexed by sequence number,
+	// not in a channel per item, so a stream allocates nothing per item.
+	mu       sync.Mutex
+	pendingC *sync.Cond // signalled when an item is submitted or the stream closes
+	doneC    *sync.Cond // signalled when results land or the stream closes
+	items    []T        // ring: the value of each submitted, untaken item
+	results  []Result[R]
+	filled   []bool // ring: results[i] holds an uncollected result
+	// Item sequence numbers: [taken, submitted) are pending, and
+	// [collected, taken) are with the workers or awaiting collection.
+	submitted, taken, collected int
+	closed                      bool
 }
 
 // NewPipeline starts a streaming ordered pool of Resolve(workers)
-// workers over fn. buffer is the number of completed-but-unconsumed
-// results tolerated beyond the in-flight window before Submit blocks;
-// values < 0 select 0 (in-flight bounded by the worker count alone).
-func NewPipeline[T, R any](workers, buffer int, fn func(T) (R, error)) *Pipeline[T, R] {
+// workers over fn, which fills out[i] (zeroed on entry) with the result
+// of items[i] for a batch of at most maxBatch items (values < 1 select
+// 1). buffer is the number of completed-but-uncollected results
+// tolerated beyond the worker count before Submit blocks; values < 0
+// select 0 (in-flight bounded by the worker count alone).
+func NewPipeline[T, R any](workers, buffer, maxBatch int, fn func(items []T, out []Result[R])) *Pipeline[T, R] {
 	w := Resolve(workers)
-	if buffer < 0 {
-		buffer = 0
-	}
+	size := w + max(buffer, 0)
 	p := &Pipeline[T, R]{
-		jobs: make(chan pipeJob[T, R]),
-		// The order channel is the backpressure bound: one entry per
-		// submitted-but-unconsumed item, drained by the collector only as
-		// the consumer reads Out().
-		order: make(chan chan Result[R], w+buffer),
-		out:   make(chan Result[R]),
+		workers:  w,
+		maxBatch: max(maxBatch, 1),
+		window:   make(chan struct{}, size),
+		out:      make(chan Result[R]),
+		items:    make([]T, size),
+		results:  make([]Result[R], size),
+		filled:   make([]bool, size),
 	}
-	// Workers wind down when jobs closes; no one waits on them directly —
-	// delivery of every submitted item is guaranteed by the collector
-	// draining the order channel (each slot is buffered, so a worker's
-	// final send never blocks).
+	p.pendingC = sync.NewCond(&p.mu)
+	p.doneC = sync.NewCond(&p.mu)
+	// Workers wind down once the stream is closed and drained; no one
+	// waits on them directly — delivery of every submitted item is
+	// guaranteed by the collector, which exits only after the last one.
 	for g := 0; g < w; g++ {
-		go func() {
-			for j := range p.jobs {
-				v, err := fn(j.v)
-				j.slot <- Result[R]{Value: v, Err: err}
-			}
-		}()
+		go p.work(fn)
 	}
-	go func() {
-		for slot := range p.order {
-			p.out <- <-slot
-		}
-		close(p.out)
-	}()
+	go p.collect()
 	return p
 }
 
+// batchSize is the take rule: with pending items queued, an idle worker
+// takes its share of them — ⌈pending/workers⌉, rounded up to a multiple
+// of four so a share forms a group the blocked solve accelerates — up
+// to maxBatch and never more than are pending. A lone pending item is
+// taken alone at once: no worker waits for a batch to fill.
+func (p *Pipeline[T, R]) batchSize(pending int) int {
+	share := (pending + p.workers - 1) / p.workers
+	share = (share + 3) &^ 3
+	return min(share, pending, p.maxBatch)
+}
+
+// work is one worker's loop: take a batch of consecutive pending items,
+// run fn over it, store each result at its item's ring index.
+func (p *Pipeline[T, R]) work(fn func([]T, []Result[R])) {
+	var (
+		batch = make([]T, 0, p.maxBatch)
+		out   = make([]Result[R], p.maxBatch)
+		zero  T
+	)
+	size := len(p.items)
+	for {
+		p.mu.Lock()
+		for p.taken == p.submitted && !p.closed {
+			p.pendingC.Wait()
+		}
+		if p.taken == p.submitted {
+			p.mu.Unlock()
+			return
+		}
+		first := p.taken
+		batch = batch[:p.batchSize(p.submitted-first)]
+		for i := range batch {
+			j := (first + i) % size
+			batch[i], p.items[j] = p.items[j], zero
+		}
+		p.taken += len(batch)
+		p.mu.Unlock()
+
+		res := out[:len(batch)]
+		fn(batch, res)
+
+		p.mu.Lock()
+		for i := range res {
+			j := (first + i) % size
+			p.results[j], p.filled[j] = res[i], true
+		}
+		p.mu.Unlock()
+		p.doneC.Signal()
+		clear(batch)
+		clear(res)
+	}
+}
+
+// collect delivers results to Out() in submission order, releasing each
+// item's window token as it is collected, and closes Out() after the
+// last item of a closed stream.
+func (p *Pipeline[T, R]) collect() {
+	size := len(p.items)
+	for {
+		p.mu.Lock()
+		j := p.collected % size
+		for !p.filled[j] && !(p.closed && p.collected == p.submitted) {
+			p.doneC.Wait()
+		}
+		if !p.filled[j] {
+			p.mu.Unlock()
+			close(p.out)
+			return
+		}
+		r := p.results[j]
+		p.results[j], p.filled[j] = Result[R]{}, false
+		p.collected++
+		p.mu.Unlock()
+		<-p.window
+		p.out <- r
+	}
+}
+
 // Submit hands one item to the pool, blocking while the in-flight window
-// is full (bounded backpressure) or no worker is free to take the item.
+// is full (bounded backpressure).
 func (p *Pipeline[T, R]) Submit(v T) {
-	slot := make(chan Result[R], 1)
-	p.order <- slot
-	p.jobs <- pipeJob[T, R]{v: v, slot: slot}
+	p.window <- struct{}{}
+	p.mu.Lock()
+	p.items[p.submitted%len(p.items)] = v
+	p.submitted++
+	p.mu.Unlock()
+	p.pendingC.Signal()
 }
 
 // Close ends the input stream: workers wind down after finishing the
 // items already submitted, and Out() closes once they are all delivered.
 func (p *Pipeline[T, R]) Close() {
-	close(p.jobs)
-	close(p.order)
+	p.mu.Lock()
+	p.closed = true
+	p.mu.Unlock()
+	p.pendingC.Broadcast()
+	p.doneC.Broadcast()
 }
 
 // Out returns the ordered result stream. It is closed after Close once
