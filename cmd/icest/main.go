@@ -53,8 +53,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		weeks     = fs.Int("weeks", 2, "weeks to generate (week 0 calibrates, week 1 is estimated)")
 		scale     = fs.Float64("scale", 0.25, "bins-per-week scale factor (1 = full paper scale)")
 		seed      = fs.Uint64("seed", 0, "override scenario seed (0 = preset default)")
-		dense     = fs.Bool("dense", false, "force the dense SVD reference path for the projection step (cross-check; pays the factorization the default path avoids, once per bin with -weighted)")
-		weighted  = fs.Bool("weighted", false, "use prior-weighted tomogravity (sparse LSQR fast path, or the weighted dense reference with -dense)")
+		weighted  = fs.Bool("weighted", false, "use prior-weighted tomogravity (the same sparse LSQR projection, column-scaled by the prior)")
 		linkNoise = fs.Float64("linknoise", 0, "multiplicative lognormal noise sigma on link loads")
 		flaps     = fs.Int("flaps", 0, `link-flap events scheduled over the estimated week ("isp" family only; 0 = steady topology)`)
 		workers   = fs.Int("workers", 0, "concurrent workers for generation, fitting and estimation (0 = all CPUs, 1 = sequential); results are identical for any value")
@@ -162,7 +161,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// priors are the only per-call variation.
 	estimator, err := estimation.NewEstimator(rm,
 		estimation.WithWeighted(*weighted),
-		estimation.WithDense(*dense),
 		estimation.WithLinkNoise(*linkNoise, sc.Seed),
 		estimation.WithWorkers(*workers),
 		// Inert for the clean profile: the injector only engages when a
@@ -195,12 +193,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "icest: prior %q: %d non-finite error bins excluded from the mean\n",
 				p.Name(), dropped)
 		}
-		if rs.WeightedDenseFallbacks > 0 {
-			fmt.Fprintf(stderr, "icest: prior %q: %d/%d bins fell back to the dense weighted path (LSQR stalled; sweep ran slower than the fast path promises)\n",
-				p.Name(), rs.WeightedDenseFallbacks, rs.Bins)
-		}
 		if rs.ProjectStalls > 0 {
-			fmt.Fprintf(stderr, "icest: prior %q: %d/%d bins stalled in the LSQR solve (unweighted: dense reference used when affordable; otherwise the almost-converged iterate)\n",
+			fmt.Fprintf(stderr, "icest: prior %q: %d/%d bins stalled in the LSQR solve (their estimates are the almost-converged iterate)\n",
 				p.Name(), rs.ProjectStalls, rs.Bins)
 		}
 	}

@@ -260,9 +260,6 @@ var (
 	WithWorkers = estimation.WithWorkers
 	// WithWeighted selects the prior-weighted tomogravity projection.
 	WithWeighted = estimation.WithWeighted
-	// WithDense selects the dense reference projection for the
-	// configured objective (unweighted, or weighted with WithWeighted).
-	WithDense = estimation.WithDense
 	// WithSkipIPF disables the marginal-fitting step 3.
 	WithSkipIPF = estimation.WithSkipIPF
 	// WithIPF tunes the proportional-fitting tolerance and sweep budget.

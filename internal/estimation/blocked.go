@@ -63,11 +63,11 @@ type BinOutcome struct {
 // goroutine and returns, for obs[i], exactly what EstimateBin(prior,
 // obs[i].T, obs[i].Y) returns — estimate, diagnostics and error text,
 // bit for bit. What it adds is throughput: the clean (fully observed)
-// bins of an unweighted, iterative session are projected together, up
-// to 16 at a time, by one cold linalg.LSQRMulti call, whose lanes are
+// bins of an unweighted session are projected together, up to 16 at a
+// time, by one cold linalg.LSQRMulti call, whose lanes are
 // bitwise-identical to per-bin LSQR solves; fewer than four such bins
-// solve one by one. Masked, weighted and dense-option bins take
-// EstimateBin's per-bin path.
+// solve one by one. Masked and weighted bins take EstimateBin's per-bin
+// path.
 func (e *Estimator) EstimateBins(prior Prior, obs []Observation) []BinOutcome {
 	bins := make([]groupBin, len(obs))
 	for i, o := range obs {
@@ -82,17 +82,33 @@ func (e *Estimator) EstimateBins(prior Prior, obs []Observation) []BinOutcome {
 }
 
 // estimateGroup runs bins through EstimateBin's stages in place,
-// recording each bin's estimate or error: prepareBin for every bin,
-// solveBlocked for the clean unweighted iterative ones (blocks of up to
-// blockK lanes, cold or warm-chained), projectBin for the rest, then
-// finishBin. Sharing the stages with EstimateBin is what keeps the
-// grouped paths' semantics and error text identical to it.
+// recording each bin's estimate or error: projectGroup, then finishBin.
+// Sharing the stages with EstimateBin is what keeps the grouped paths'
+// semantics and error text identical to it.
 func (e *Estimator) estimateGroup(prior Prior, bins []groupBin, blockK int, warm bool) {
+	e.projectGroup(prior, bins, blockK, warm)
+	for i := range bins {
+		b := &bins[i]
+		if b.err != nil {
+			continue
+		}
+		if err := finishBin(e.solver, b.est, b.ing, b.eg, e.opts, &b.diag); err != nil {
+			b.est, b.err = nil, fmt.Errorf("estimation: IPF bin %d: %w", b.t, err)
+		}
+	}
+}
+
+// projectGroup runs bins through EstimateBin's stages up to the
+// projection, leaving each bin's unclamped projection in b.est (or its
+// error in b.err): prepareBin for every bin, solveBlocked for the clean
+// unweighted ones (blocks of up to blockK lanes, cold or warm-chained),
+// projectBin for the rest.
+func (e *Estimator) projectGroup(prior Prior, bins []groupBin, blockK int, warm bool) {
 	s := e.solver
-	// The blocked solver implements only the default projection: any
-	// weighted or dense option routes every bin through projectBin below
-	// (masked bins always do).
-	blockable := !e.opts.Weighted && !e.opts.Dense
+	// The blocked solver implements only the unweighted projection: a
+	// weighted session routes every bin through projectBin below (masked
+	// bins always do).
+	blockable := !e.opts.Weighted
 	lanes := make([]*groupBin, 0, len(bins))
 	for i := range bins {
 		b := &bins[i]
@@ -105,20 +121,15 @@ func (e *Estimator) estimateGroup(prior Prior, bins []groupBin, blockK int, warm
 	s.solveBlocked(lanes, blockK, warm)
 	for i := range bins {
 		b := &bins[i]
-		if b.err != nil {
+		if b.err != nil || b.est != nil {
 			continue
 		}
-		if b.est == nil {
-			est, err := projectBin(s, b.p, b.y, b.keep, b.dropped, e.opts, &b.diag)
-			if err != nil {
-				b.err = fmt.Errorf("estimation: project bin %d: %w", b.t, err)
-				continue
-			}
-			b.est = est
+		est, err := projectBin(s, b.p, b.y, b.keep, b.dropped, e.opts, &b.diag)
+		if err != nil {
+			b.err = fmt.Errorf("estimation: project bin %d: %w", b.t, err)
+			continue
 		}
-		if err := finishBin(s, b.est, b.ing, b.eg, e.opts, &b.diag); err != nil {
-			b.est, b.err = nil, fmt.Errorf("estimation: IPF bin %d: %w", b.t, err)
-		}
+		b.est = est
 	}
 }
 
@@ -129,8 +140,8 @@ func (e *Estimator) estimateGroup(prior Prior, bins []groupBin, blockK int, warm
 // bitwise-identical to Solver.Project on its bin. Warm, each block
 // starts from the previous block's last converged correction, the
 // first from zero. Each lane is settled by Solver.Project's stall
-// policy (settle) and gets its estimate or error. Working storage comes
-// from the solver's scratch pool.
+// policy (settle, which keeps the iterate) and gets its estimate or
+// error. Working storage comes from the solver's scratch pool.
 func (s *Solver) solveBlocked(lanes []*groupBin, blockK int, warm bool) {
 	if len(lanes) == 0 {
 		return
@@ -148,15 +159,11 @@ func (s *Solver) solveBlocked(lanes []*groupBin, blockK int, warm bool) {
 				b.err = fmt.Errorf("estimation: project bin %d: %w", b.t, err)
 				continue
 			}
-			est, pr, err := s.settle(b.p, b.y, dst[i], nil, reps[i], false)
-			b.diag.recordProjection(pr, false)
+			var pr Projection
+			b.est, pr = settle(b.p, dst[i], nil, reps[i])
+			b.diag.recordProjection(pr)
 			b.diag.WarmStarted = x0 != nil
 			b.blocked = len(blk) >= minBlockLanes
-			if err != nil {
-				b.err = fmt.Errorf("estimation: project bin %d: %w", b.t, err)
-				continue
-			}
-			b.est = est
 		}
 		if warm && err == nil {
 			// The next block warm-starts from this block's last

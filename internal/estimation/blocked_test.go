@@ -75,7 +75,7 @@ func requireOutcomeIsEstimateBin(t *testing.T, label string, est *Estimator, pri
 // TestEstimateBinsMatchesEstimateBin: the grouped entry point returns,
 // bin for bin, exactly what EstimateBin returns — for every option set
 // the blocked solve serves or bypasses. Clean bins of an unweighted
-// iterative session take LSQRMulti in blocks of up to coldBlockK; a
+// session take LSQRMulti in blocks of up to coldBlockK; a
 // remainder below minBlockLanes (here one lane) solves through LSQR.
 func TestEstimateBinsMatchesEstimateBin(t *testing.T) {
 	obs, base, clean := groupObservations(t)
@@ -90,7 +90,6 @@ func TestEstimateBinsMatchesEstimateBin(t *testing.T) {
 		{"plain", nil, coldBlockK},
 		{"skipipf", []Option{WithSkipIPF(true)}, coldBlockK},
 		{"weighted", []Option{WithWeighted(true)}, 0},
-		{"dense", []Option{WithDense(true)}, 0},
 	}
 	for _, c := range cases {
 		est := base.With(c.opts...)

@@ -146,9 +146,6 @@ func TestProjectShapeErrors(t *testing.T) {
 	if _, _, err := solver.Project(tm.New(8), make([]float64, rm.Rows()), make([]bool, 3), true); !errors.Is(err, ErrInput) {
 		t.Error("wrong row mask size must fail")
 	}
-	if _, err := solver.ProjectDense(tm.New(5), make([]float64, rm.Rows()), true); !errors.Is(err, ErrInput) {
-		t.Error("wrong prior size must fail on the dense reference")
-	}
 }
 
 func TestIPFReachesTargets(t *testing.T) {

@@ -67,15 +67,9 @@ type Option func(*options)
 func WithWorkers(n int) Option { return func(o *options) { o.Workers = n } }
 
 // WithWeighted switches the projection step to the prior-weighted
-// tomogravity of Zhang et al. (sparse LSQR fast path, or the weighted
-// dense reference together with WithDense).
+// tomogravity of Zhang et al.: the same LSQR solve, implicitly
+// column-scaled by the prior.
 func WithWeighted(on bool) Option { return func(o *options) { o.Weighted = on } }
-
-// WithDense selects the dense SVD reference implementation of the
-// projection step for the configured objective (cross-check; pays the
-// SVD the default path avoids — once per session unweighted, once per
-// bin weighted).
-func WithDense(on bool) Option { return func(o *options) { o.Dense = on } }
 
 // WithSkipIPF disables the marginal-fitting step 3 (ablation).
 func WithSkipIPF(on bool) Option { return func(o *options) { o.SkipIPF = on } }
@@ -130,8 +124,8 @@ func WithFaultInjection(p faults.Profile, seed uint64) Option {
 // of the full system, trading the per-bin minimum-norm tie-break for
 // continuity with the previous bin's correction — a deliberate choice
 // for slowly-varying traffic, where the previous correction is the
-// better prior belief about the null-space component. Masked, weighted
-// and dense bins are never blocked or warm-started: they solve exactly
+// better prior belief about the null-space component. Masked and
+// weighted bins are never blocked or warm-started: they solve exactly
 // as the default path solves them. BinDiag.WarmStarted and
 // RunStats.WarmStartedBins report which bins took the warm path.
 func WithWarmStart(on bool) Option { return func(o *options) { o.WarmStart = on } }
@@ -172,8 +166,7 @@ func (e *Estimator) N() int { return e.solver.rm.N }
 func (e *Estimator) Rows() int { return e.solver.rm.Rows() }
 
 // Solver exposes the session's shared tomogravity solver for callers
-// that drive the projection primitives directly (cross-check sweeps,
-// FactorDense pre-payment).
+// that drive the projection step directly (the icbench stage tracer).
 func (e *Estimator) Solver() *Solver { return e.solver }
 
 // RegisterPrior validates serialized calibration state against the
@@ -247,9 +240,8 @@ func (e *Estimator) Rebase(rm *routing.Matrix) (*Estimator, error) {
 //
 // The observation is validated first (ErrObservation for wrong length,
 // ±Inf, or NaN marginals). NaN internal-link entries degrade instead of
-// dying: their equations are dropped from the projection (masked solve,
-// always the iterative path — the dense reference has no row-mask
-// form), and when fewer than ObservabilityFloor of the links survive,
+// dying: their equations are dropped from the projection (masked
+// solve), and when fewer than ObservabilityFloor of the links survive,
 // the projection is skipped entirely and the prior itself is rebalanced
 // toward the measured marginals. Either way the bin reports Degraded
 // with LinksDropped in its BinDiag and the estimate stays finite.
@@ -278,7 +270,7 @@ type SeriesResult struct {
 	// Errors is the per-bin RelL2 against the true series.
 	Errors []float64
 	// Stats aggregates the per-bin diagnostics (IPF sweeps and
-	// non-convergences, projection stalls, dense fallbacks).
+	// non-convergences, projection stalls, degraded bins).
 	Stats RunStats
 }
 
@@ -406,9 +398,6 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 		if !r.Diag.IPFConverged {
 			out.Stats.IPFNonConverged++
 		}
-		if r.Diag.WeightedDenseFallback {
-			out.Stats.WeightedDenseFallbacks++
-		}
 		if r.Diag.ProjectStalled {
 			out.Stats.ProjectStalls++
 		}
@@ -419,9 +408,6 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 		out.Stats.LinksDroppedTotal += r.Diag.LinksDropped
 		if r.Diag.PriorFallback {
 			out.Stats.PriorFallbacks++
-		}
-		if r.Diag.DenseDowngraded {
-			out.Stats.DenseDowngrades++
 		}
 		if r.Diag.WarmStarted {
 			out.Stats.WarmStartedBins++

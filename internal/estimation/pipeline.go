@@ -31,18 +31,8 @@ type options struct {
 	// Weighted switches step 2 from the minimal-L2 correction to the
 	// prior-weighted tomogravity of Zhang et al.: deviations from the
 	// prior are penalized relative to the prior's own magnitude, so
-	// large flows absorb more of the correction. It selects the objective
-	// of both the iterative projection and the dense reference.
+	// large flows absorb more of the correction.
 	Weighted bool
-	// Dense selects the dense SVD reference implementation of step 2
-	// (Solver.ProjectDense) for the selected objective. It exists for
-	// cross-checking the iterative path — they agree to well below 1e-8
-	// (unweighted) and 1e-6 (weighted) relative — and pays the SVD the
-	// default path avoids: once per solver unweighted, once per bin
-	// weighted. Bins with missing link reports cannot run it (the dense
-	// reference has no row-mask form): they downgrade to the masked
-	// iterative solve and report BinDiag.DenseDowngraded.
-	Dense bool
 	// LinkNoiseSigma injects multiplicative lognormal noise into the
 	// observed link loads (failure injection / SNMP-error emulation).
 	// The same noisy observation is used for the prior's marginals and
@@ -83,8 +73,8 @@ type options struct {
 	// the cold default: warm-started solves converge to the same
 	// tolerance from a different starting iterate, trading the per-bin
 	// minimum-norm tie-break for continuity with the previous bin's
-	// correction (see WithWarmStart). Masked, weighted and dense bins
-	// always solve exactly as the default path does.
+	// correction (see WithWarmStart). Masked and weighted bins always
+	// solve exactly as the default path does.
 	WarmStart bool
 }
 
@@ -107,23 +97,17 @@ type BinDiag struct {
 	// reaching tolerance (ErrIPFNoConverge). The estimate is still
 	// usable but honours the measured marginals only approximately.
 	IPFConverged bool `json:"ipf_converged"`
-	// WeightedDenseFallback is true when the weighted step's iterative
-	// solver stalled and the bin escalated to the dense reference
-	// (correct but ~500x slower; see Projection.DenseFallback).
-	WeightedDenseFallback bool `json:"weighted_dense_fallback,omitempty"`
-	// ProjectStalled reports every other stall: the bin's LSQR solve hit
-	// its iteration budget before tolerance. The estimate came from the
-	// dense reference when the bin was unweighted, fully observed and
-	// affordable at the problem's scale, and from the almost-converged
-	// iterate otherwise (see Solver.Project).
+	// ProjectStalled reports that the bin's LSQR solve hit its
+	// iteration budget before tolerance; the estimate came from LSQR's
+	// almost-converged iterate (see Solver.Project).
 	ProjectStalled bool `json:"project_stalled,omitempty"`
 	// LSQRIterations is the number of LSQR iterations the bin's
-	// projection consumed (0 on the dense reference paths, which run no
-	// iterative solve). It is the per-bin convergence cost — worth
-	// watching as topologies mutate, since a patched routing matrix that
-	// suddenly converges slowly signals an ill-conditioned network.
-	// Deliberately excluded from the wire form: the service aggregates it
-	// in its stats instead, keeping v1/v2 response bytes stable.
+	// projection consumed (0 on a prior fallback, which runs no solve).
+	// It is the per-bin convergence cost — worth watching as topologies
+	// mutate, since a patched routing matrix that suddenly converges
+	// slowly signals an ill-conditioned network. Deliberately excluded
+	// from the wire form: the service aggregates it in its stats
+	// instead, keeping v1/v2 response bytes stable.
 	LSQRIterations int `json:"-"`
 	// LinksDropped counts the internal-link equations removed from this
 	// bin's solve because their reports were missing (NaN). Zero on
@@ -141,19 +125,10 @@ type BinDiag struct {
 	// is the prior itself, rebalanced by IPF toward the (intact)
 	// measured marginals.
 	PriorFallback bool `json:"prior_fallback,omitempty"`
-	// DenseDowngraded marks a bin that requested the dense reference
-	// projection (WithDense) but could not run it because link reports
-	// were missing: the dense reference has no row-mask form, so the bin was solved by the masked iterative
-	// path instead (or fell back to the prior below the observability
-	// floor). Previously this downgrade was silent, which let a dense
-	// cross-check sweep quietly stop cross-checking under faults. Only
-	// ever set on degraded bins, so clean responses keep their exact
-	// pre-existing wire bytes.
-	DenseDowngraded bool `json:"dense_downgraded,omitempty"`
 	// WarmStarted marks a bin whose LSQR solve was warm-started from a
 	// previous bin's converged correction (WithWarmStart blocked
-	// path; always false on the default cold path and on masked,
-	// weighted or dense bins). Local-only like LSQRIterations: the
+	// path; always false on the default cold path and on masked or
+	// weighted bins). Local-only like LSQRIterations: the
 	// series layer aggregates it into RunStats.WarmStartedBins, keeping
 	// response bytes stable.
 	WarmStarted bool `json:"-"`
@@ -177,26 +152,15 @@ type RunStats struct {
 	// IPFNonConverged counts bins whose IPF stopped at the sweep budget
 	// without reaching tolerance.
 	IPFNonConverged int
-	// WeightedDenseFallbacks counts bins whose weighted projection fell
-	// back to the dense reference path because LSQR stalled. A non-zero
-	// count on a long sweep means the sweep ran far slower than the
-	// fast path promises — worth surfacing to the operator.
-	WeightedDenseFallbacks int
 	// ProjectStalls counts bins whose projection stalled before
-	// tolerance without a weighted dense fallback (see
-	// BinDiag.ProjectStalled). A non-zero count is worth surfacing: those
-	// bins either paid for the dense reference or carry an
-	// almost-converged estimate.
+	// tolerance (BinDiag.ProjectStalled). A non-zero count is worth
+	// surfacing: those bins carry an almost-converged estimate.
 	ProjectStalls int
 	// LSQRIterationsTotal sums the LSQR iterations consumed across all
 	// bins (BinDiag.LSQRIterations) — the run's total iterative-solver
 	// work. Note it is NOT safe to divide by Bins for a mean
-	// iterations-to-converge: bins answered by the dense option or by
-	// the prior fallback run no iterative solve and contribute 0, so the
-	// quotient understates the per-solve cost whenever PriorFallbacks or
-	// dense-option bins are present. Divide by the count of iteratively
-	// solved bins instead (Bins minus those). A stall that escalated to
-	// the dense reference still counts the iterations it spent.
+	// iterations-to-converge: prior-fallback bins run no solve and
+	// contribute 0, so divide by Bins − PriorFallbacks instead.
 	LSQRIterationsTotal int
 	// WarmStartedBins counts bins whose solve was warm-started from a
 	// previous bin's converged correction (BinDiag.WarmStarted) — only
@@ -214,12 +178,6 @@ type RunStats struct {
 	// observability floor and were answered by the prior (rebalanced
 	// toward the measured marginals) instead of a masked solve.
 	PriorFallbacks int
-	// DenseDowngrades counts bins that requested a dense reference
-	// projection but were downgraded to an iterative (or prior-fallback)
-	// solve because link reports were missing (BinDiag.DenseDowngraded).
-	// A non-zero count on a dense cross-check sweep means part of the
-	// sweep did not actually exercise the dense path.
-	DenseDowngrades int
 }
 
 // ObservabilityFloor is the minimum fraction of internal-link equations
@@ -292,39 +250,28 @@ func prepareBin(s *Solver, prior Prior, t int, y []float64) (keep []bool, droppe
 
 // projectBin runs the projection stage of one bin, recording its
 // diagnostics in diag: a bin below the observability floor falls back
-// to the prior, the Dense option sends a fully observed bin to the
-// dense reference, and every other bin — masked or not, weighted or
-// not — takes Solver.Project. Shared by EstimateBin and the warm chunked
-// path (which routes only the clean unweighted bins to the blocked
-// solver and sends everything else here).
+// to the prior, and every other bin — masked or not, weighted or not —
+// takes Solver.Project. Shared by EstimateBin and the grouped paths
+// (which route only the clean unweighted bins to the blocked solver and
+// send everything else here).
 func projectBin(s *Solver, p *tm.TrafficMatrix, y []float64, keep []bool, dropped int, opts options, diag *BinDiag) (*tm.TrafficMatrix, error) {
 	if dropped > 0 {
 		diag.Degraded, diag.LinksDropped = true, dropped
-		// The dense reference has no row-mask form: the bin is downgraded
-		// to the masked iterative solve (or the prior fallback below).
-		// Surfaced instead of silent so a dense cross-check sweep knows
-		// which bins it did not cross-check.
-		diag.DenseDowngraded = opts.Dense
 		if float64(s.rm.L-dropped) < ObservabilityFloor*float64(s.rm.L) {
 			diag.PriorFallback = true
 			return p.Clone(), nil
 		}
-	} else if opts.Dense {
-		return s.ProjectDense(p, y, opts.Weighted)
 	}
 	est, pr, err := s.Project(p, y, keep, opts.Weighted)
-	diag.recordProjection(pr, opts.Weighted)
+	diag.recordProjection(pr)
 	return est, err
 }
 
 // recordProjection copies a projection's report into the bin's
-// diagnostics. The wire flags keep their historical meaning: a weighted
-// stall that escalated to the dense reference reports
-// weighted_dense_fallback, every other stall project_stalled.
-func (d *BinDiag) recordProjection(pr Projection, weighted bool) {
+// diagnostics.
+func (d *BinDiag) recordProjection(pr Projection) {
 	d.LSQRIterations = pr.Iterations
-	d.WeightedDenseFallback = weighted && pr.DenseFallback
-	d.ProjectStalled = pr.Stalled && !d.WeightedDenseFallback
+	d.ProjectStalled = pr.Stalled
 }
 
 // finishBin runs the post-projection stage of one bin in place: clamp

@@ -1,11 +1,16 @@
 package estimation
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"ictm/internal/faults"
 	"ictm/internal/linalg"
 	"ictm/internal/routing"
+	"ictm/internal/synth"
 	"ictm/internal/tm"
 	"ictm/internal/topology"
 )
@@ -37,17 +42,11 @@ func stallInputs(t *testing.T, g *topology.Graph) (*Solver, *tm.TrafficMatrix, [
 	return s, prior, y
 }
 
-// denseAffordable reports whether the solver's system is within the
-// stall fallback's size cap.
-func denseAffordable(s *Solver) bool {
-	csr := s.rm.CSR()
-	rows := float64(csr.Rows())
-	return rows*rows*float64(csr.Cols()) <= denseFallbackMaxFlops
-}
-
-// stallSolver builds the stall fixture: a paper-scale n=10 system within
-// the dense fallback's size cap, or (large) an n=50 system above it,
-// where a stall must never pay the SVD.
+// stallSolver builds the stall fixture: a paper-scale n=10 system, or
+// (large) an n=50 one. The case names keep the size cap of an earlier
+// policy, under which a stall at n=10 ("within-cap") escalated to a
+// dense SVD and one at n=50 ("above-cap") kept the iterate; today both
+// keep the iterate.
 func stallSolver(t *testing.T, large bool) (*Solver, *tm.TrafficMatrix, []float64) {
 	t.Helper()
 	g, err := topology.Waxman(10, 0.6, 0.4, 3)
@@ -57,11 +56,7 @@ func stallSolver(t *testing.T, large bool) (*Solver, *tm.TrafficMatrix, []float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, prior, y := stallInputs(t, g)
-	if denseAffordable(s) == large {
-		t.Fatalf("n=%d fixture: dense affordable = %v", s.rm.N, !large)
-	}
-	return s, prior, y
+	return stallInputs(t, g)
 }
 
 // iterate is the estimate a stalled solve keeps: prior + W^{1/2}·z for
@@ -102,23 +97,21 @@ func requireBitwise(t *testing.T, got, want *tm.TrafficMatrix, label string) {
 	}
 }
 
-// TestStallPolicy pins every branch of the one stall policy shared by
-// all iterative solves: a stalled, fully observed solve within the size
-// cap escalates to the dense reference for either objective; above the
-// cap, or on a masked system, it keeps LSQR's iterate and never pays an
-// SVD.
+// TestStallPolicy pins the one stall policy shared by all iterative
+// solves: a stalled solve, at any size, weighted or not, masked or not,
+// keeps LSQR's iterate bit for bit and reports the stall.
 func TestStallPolicy(t *testing.T) {
 	for _, tc := range []struct {
-		name            string
-		large, masked   bool
-		weighted, dense bool
+		name          string
+		large, masked bool
+		weighted      bool
 	}{
-		{"unweighted-within-cap", false, false, false, true},
-		{"weighted-within-cap", false, false, true, true},
-		{"unweighted-masked", false, true, false, false},
-		{"weighted-masked", false, true, true, false},
-		{"unweighted-above-cap", true, false, false, false},
-		{"weighted-above-cap", true, false, true, false},
+		{"unweighted-within-cap", false, false, false},
+		{"weighted-within-cap", false, false, true},
+		{"unweighted-masked", false, true, false},
+		{"weighted-masked", false, true, true},
+		{"unweighted-above-cap", true, false, false},
+		{"weighted-above-cap", true, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, prior, y := stallSolver(t, tc.large)
@@ -133,85 +126,104 @@ func TestStallPolicy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !pr.Stalled || pr.DenseFallback != tc.dense || pr.Iterations != 1 {
-				t.Fatalf("projection %+v, want Stalled, DenseFallback=%v, 1 iteration", pr, tc.dense)
-			}
-			if tc.dense {
-				want, err := s.ProjectDense(prior, y, tc.weighted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitwise(t, got, want, "dense fallback")
-				return
-			}
-			if s.svd != nil {
-				t.Fatal("a stall that keeps the iterate factored the dense SVD")
+			if !pr.Stalled || pr.Iterations != 1 {
+				t.Fatalf("projection %+v, want Stalled after 1 iteration", pr)
 			}
 			requireBitwise(t, got, iterate(t, s, prior, y, keep, tc.weighted), "kept iterate")
 		})
 	}
 }
 
-// TestStallWireFlags: the bin diagnostics keep their wire meaning under
-// the shared stall policy — an escalated weighted stall reports
-// weighted_dense_fallback, every other stall project_stalled, and the
-// LSQR iterations are counted either way.
+// TestStallWireFlags: EstimateBin reports every stall, weighted or not,
+// as project_stalled with the LSQR iterations it spent, and its estimate
+// is the kept iterate clamped and rebalanced by IPF.
 func TestStallWireFlags(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
 		weighted, large bool
-		wantFallback    bool
 	}{
-		{"unweighted-within-cap", false, false, false},
-		{"weighted-within-cap", true, false, true},
-		{"weighted-above-cap", true, true, false},
+		{"unweighted-within-cap", false, false},
+		{"weighted-within-cap", true, false},
+		{"weighted-above-cap", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, _, y := stallSolver(t, tc.large)
-			est := &Estimator{solver: s, opts: options{Weighted: tc.weighted}, reg: &priorRegistry{}}
-			_, diag, err := est.EstimateBin(GravityPrior{}, 0, y)
+			s, prior, y := stallSolver(t, tc.large)
+			opts := options{Weighted: tc.weighted}
+			est := &Estimator{solver: s, opts: opts, reg: &priorRegistry{}}
+			got, diag, err := est.EstimateBin(GravityPrior{}, 0, y)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if diag.WeightedDenseFallback != tc.wantFallback || diag.ProjectStalled == tc.wantFallback || diag.LSQRIterations != 1 {
-				t.Fatalf("diag %+v, want WeightedDenseFallback=%v, ProjectStalled=%v, 1 iteration",
-					diag, tc.wantFallback, !tc.wantFallback)
+			if !diag.ProjectStalled || diag.LSQRIterations != 1 {
+				t.Fatalf("diag %+v, want ProjectStalled after 1 iteration", diag)
 			}
+			if wire, err := json.Marshal(diag); err != nil || !strings.Contains(string(wire), `"project_stalled":true`) {
+				t.Fatalf("wire form %s (%v), want project_stalled", wire, err)
+			}
+			want := iterate(t, s, prior, y, nil, tc.weighted)
+			_, ing, eg, err := s.rm.SplitLoads(y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := finishBin(s, want, ing, eg, opts, &BinDiag{}); err != nil {
+				t.Fatal(err)
+			}
+			requireBitwise(t, got, want, "EstimateBin under a stall")
 		})
 	}
 }
 
 // TestWarmBlockedStallMatchesCold: the blocked warm path settles a
-// stalled bin by the same policy as Project — within the cap every
-// stalled bin escalates to the dense reference, which does not depend
-// on the warm start, so the warm series equals the cold one bit for bit
-// and every bin is counted as stalled.
+// stalled bin by the same policy as Project. With a one-iteration
+// budget every bin of both series is counted stalled after one
+// iteration; every bin of the cold series is Project's kept iterate
+// (clamped and rebalanced), and so is every bin of a warm block that
+// starts cold — the first block of each chunk.
 func TestWarmBlockedStallMatchesCold(t *testing.T) {
 	rm, truth := warmFixture(t, 20)
-	run := func(warm bool) *SeriesResult {
+	run := func(warm bool) (*Estimator, *SeriesResult) {
 		est, err := NewEstimator(rm, WithWarmStart(warm))
 		if err != nil {
 			t.Fatal(err)
 		}
 		est.solver.maxIter = 1
-		if !denseAffordable(est.solver) {
-			t.Fatal("warm fixture is above the dense fallback cap")
-		}
 		r, err := est.EstimateSeries(truth, GravityPrior{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
+		if r.Stats.ProjectStalls != truth.Len() || r.Stats.LSQRIterationsTotal != truth.Len() {
+			t.Fatalf("warm=%v stats %+v, want every one of %d bins stalled after 1 iteration", warm, r.Stats, truth.Len())
+		}
+		return est, r
 	}
-	cold, warm := run(false), run(true)
-	if warm.Stats.ProjectStalls != truth.Len() || warm.Stats.LSQRIterationsTotal != truth.Len() {
-		t.Fatalf("warm stats %+v, want every one of %d bins stalled after 1 iteration", warm.Stats, truth.Len())
-	}
+	est, cold := run(false)
+	_, warm := run(true)
 	if warm.Stats.WarmStartedBins == 0 {
 		t.Fatal("no bin took the blocked warm path")
 	}
-	cold.Stats.WarmStartedBins = warm.Stats.WarmStartedBins
-	requireSeriesBitwise(t, warm, cold, "warm vs cold under stalls")
+	s := est.solver
+	for b := 0; b < truth.Len(); b++ {
+		y, err := rm.LinkLoads(truth.At(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ing, eg, err := rm.SplitLoads(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prior, err := GravityPrior{}.PriorFor(b, ing, eg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := iterate(t, s, prior, y, nil, false)
+		if err := finishBin(s, want, ing, eg, est.opts, &BinDiag{}); err != nil {
+			t.Fatal(err)
+		}
+		requireBitwise(t, cold.Estimates.At(b), want, fmt.Sprintf("cold bin %d", b))
+		if b%warmChunkBins < warmBlockK {
+			requireBitwise(t, warm.Estimates.At(b), want, fmt.Sprintf("warm bin %d (cold-started block)", b))
+		}
+	}
 }
 
 // TestProjectReportFormsMatchProject: the two result-shape forms kept for
@@ -240,4 +252,87 @@ func TestProjectReportFormsMatchProject(t *testing.T) {
 		}
 		requireBitwise(t, got, want, "report form")
 	}
+}
+
+// TestServedShapesNeverStall is the check that the service's traffic
+// never needed a stall escalation: on each shape the benchmark serves —
+// GeantLike(22) plain and weighted, ISPLike(40) through the lossy fault
+// profile and after one link failure applied by routing.Patch (the
+// churn workload's PATCH path), ISPLike(100) — no bin stalls, and the
+// mean LSQR iterations per solved bin stay within a quarter of the
+// default budget 4·(rows+cols).
+func TestServedShapesNeverStall(t *testing.T) {
+	// The benchmark's scenarios: a GeantLike week of 5-minute bins and
+	// ISPLike weeks of hourly bins.
+	hourly := func(sc synth.Scenario) synth.Scenario {
+		sc.BinsPerWeek, sc.BinSeconds, sc.Weeks = 7*24, 3600, 1
+		return sc
+	}
+	geant := synth.GeantLike()
+	geant.Weeks = 1
+	for _, tc := range []struct {
+		name   string
+		sc     synth.Scenario
+		day    int // bins per day; the first day is skipped, as the service's workloads skip their calibration day
+		bins   int
+		opts   []Option
+		patch  bool
+		priors func(d *synth.Dataset) []Prior
+	}{
+		{"geant-22", geant, 288, 24, nil, false, icPriors},
+		{"geant-22-weighted", geant, 288, 24, []Option{WithWeighted(true)}, false, icPriors},
+		{"isp-40-lossy", hourly(synth.ISPLike(40)), 24, 24, []Option{WithFaultInjection(faults.Lossy(), 5)}, false, icPriors},
+		{"isp-40-patched", hourly(synth.ISPLike(40)), 24, 24, nil, true, icPriors},
+		{"isp-100", hourly(synth.ISPLike(100)), 24, 8, nil, false, func(d *synth.Dataset) []Prior {
+			return []Prior{&StableFPrior{F: d.Scenario.F}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := synth.Generate(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := tc.sc.Topology().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, err := routing.Build(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.patch {
+				fl, err := synth.GenerateFlaps(tc.sc, g, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rm, _, err = routing.Patch(rm, g, fl.Events[0].Down()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			truth, err := d.Series.Slice(tc.day, tc.day+tc.bins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := 4 * (rm.Rows() + rm.N*rm.N)
+			for _, prior := range tc.priors(d) {
+				st := estimateSeries(t, rm, truth, prior, tc.opts...).Stats
+				solved := st.Bins - st.PriorFallbacks
+				if st.ProjectStalls != 0 {
+					t.Errorf("%s: %d of %d bins stalled", prior.Name(), st.ProjectStalls, st.Bins)
+				}
+				if solved == 0 || st.LSQRIterationsTotal > solved*budget/4 {
+					t.Errorf("%s: %d LSQR iterations over %d solved bins, want at most budget/4 = %d per bin",
+						prior.Name(), st.LSQRIterationsTotal, solved, budget/4)
+				}
+			}
+		})
+	}
+}
+
+// icPriors returns gravity and the IC stable-fP prior — the priors the
+// service's benchmark registers on GeantLike (the churn workload
+// registers the latter) — with the scenario's latent parameters
+// standing in for the fitted ones.
+func icPriors(d *synth.Dataset) []Prior {
+	return []Prior{GravityPrior{}, &StableFPPrior{F: d.Scenario.F, Pref: d.TruePref}}
 }

@@ -19,20 +19,18 @@ import (
 var ErrIPFNoConverge = errors.New("estimation: IPF did not converge")
 
 // Solver performs the tomogravity least-squares projection (step 2)
-// through one iterative entry point, Project, for both the unweighted
-// and the prior-weighted objective: each bin is an LSQR solve against the
+// through one entry point, Project, for both the unweighted and the
+// prior-weighted objective: each bin is an LSQR solve against the
 // routing matrix's sparse (CSR) view, so constructing a Solver is O(nnz)
-// and per-bin work is a few dozen sparse mat-vecs. ProjectDense is the
-// one dense reference, used by cross-check sweeps and by an affordable
-// stall; its SVD of R is factored lazily, never by NewSolver.
+// and per-bin work is a few dozen sparse mat-vecs. No dense
+// factorization of R is ever formed.
 //
 // A Solver is safe for concurrent use once constructed: the routing
-// matrix and its CSR view are never written after NewSolver returns, the
-// lazy dense factorization is guarded by a sync.Once, and the per-solve
-// working storage (residuals, weights, LSQR state, IPF marginal buffers)
-// comes from a sync.Pool — each in-flight solve owns its scratch
-// exclusively, so parallel bins never share mutable state. The
-// Estimator relies on this to estimate bins in parallel against one
+// matrix and its CSR view are never written after NewSolver returns, and
+// the per-solve working storage (residuals, weights, LSQR state, IPF
+// marginal buffers) comes from a sync.Pool — each in-flight solve owns
+// its scratch exclusively, so parallel bins never share mutable state.
+// The Estimator relies on this to estimate bins in parallel against one
 // shared solver.
 type Solver struct {
 	rm *routing.Matrix
@@ -48,16 +46,6 @@ type Solver struct {
 	// allocation; the registered steady-state path just stops paying the
 	// allocator on every bin.
 	scratch sync.Pool
-
-	// svdOnce guards the lazy dense factorization below. svd and cut
-	// (the singular-value cutoff below which directions are treated as
-	// null space — R is always rank deficient: ingress rows sum to the
-	// same total as egress rows) are written exactly once, by the first
-	// caller that needs the dense reference path.
-	svdOnce sync.Once
-	svd     *linalg.SVD
-	svdErr  error
-	cut     float64
 }
 
 // solveScratch is the reusable working storage of one in-flight solve:
@@ -113,8 +101,7 @@ func growFloat(buf []float64, n int) []float64 {
 
 // NewSolver prepares a solver for the routing matrix. It is cheap —
 // O(nnz) of bookkeeping, no factorization — so hundred-node topologies
-// start instantly; the dense SVD is factored lazily if and when a dense
-// cross-check path is first used (see FactorDense).
+// start instantly.
 func NewSolver(rm *routing.Matrix) (*Solver, error) {
 	if rm == nil || rm.CSR() == nil {
 		return nil, fmt.Errorf("%w: nil routing matrix", ErrInput)
@@ -122,40 +109,17 @@ func NewSolver(rm *routing.Matrix) (*Solver, error) {
 	return &Solver{rm: rm}, nil
 }
 
-// FactorDense forces the lazy dense SVD factorization of R, returning
-// any factorization error. Calling it is never required — the
-// unweighted ProjectDense triggers it on demand — but a caller about to
-// run a dense cross-check sweep can pre-pay the one-time cost here
-// instead of inside the first estimated bin.
-func (s *Solver) FactorDense() error {
-	s.svdOnce.Do(func() {
-		svd, err := linalg.NewSVD(s.rm.Dense())
-		if err != nil {
-			s.svdErr = fmt.Errorf("estimation: SVD of routing matrix: %w", err)
-			return
-		}
-		s.svd = svd
-		if len(svd.S) > 0 {
-			s.cut = 1e-10 * svd.S[0]
-		}
-	})
-	return s.svdErr
-}
-
 // Projection reports how one tomogravity projection was solved.
 type Projection struct {
 	// Iterations is the number of LSQR iterations the solve consumed —
-	// the per-bin convergence cost (BinDiag.LSQRIterations). It counts
-	// the iterative work even when a stall escalated to the dense
-	// reference.
+	// the per-bin convergence cost (BinDiag.LSQRIterations).
 	Iterations int
 	// Stalled reports that LSQR hit its iteration budget before
-	// tolerance. The routing systems of this repository converge in a few
-	// dozen iterations, so a stall is exceptional.
+	// tolerance; the estimate is then LSQR's almost-converged iterate.
+	// The routing systems of this repository converge well inside the
+	// default budget of 4·(rows+cols) iterations, so a stall is
+	// exceptional.
 	Stalled bool
-	// DenseFallback reports that the stall escalated: the estimate came
-	// from the dense reference (ProjectDense) instead of LSQR's iterate.
-	DenseFallback bool
 }
 
 // residual validates a projection's inputs and writes the measurement
@@ -244,8 +208,8 @@ func addCorrection(prior *tm.TrafficMatrix, z, sqrtw []float64) *tm.TrafficMatri
 // O(iterations · nnz) per bin. A non-nil keep drops the rows with
 // keep[i] == false from the system (linalg.RowMasked, bitwise-identical
 // to physically removing them), so a bin with missing link reports is
-// fitted to the surviving equations only. A stalled solve is settled by
-// one policy (see settle) and reported in the Projection. The result can
+// fitted to the surviving equations only. A stalled solve keeps LSQR's
+// iterate and is reported in the Projection (see settle). The result can
 // contain small negative entries; the caller is expected to clamp and
 // re-balance (see EstimateBin).
 func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64, keep []bool, weighted bool) (*tm.TrafficMatrix, Projection, error) {
@@ -269,7 +233,8 @@ func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64, keep []bool, weig
 	if err != nil {
 		return nil, Projection{}, fmt.Errorf("estimation: projection: %w", err)
 	}
-	return s.settle(prior, y, z, sqrtw, rep, keep != nil)
+	est, pr := settle(prior, z, sqrtw, rep)
+	return est, pr, nil
 }
 
 // ProjectReport is Project for an unweighted, fully observed bin, in the
@@ -289,96 +254,14 @@ func (s *Solver) ProjectMaskedReport(prior *tm.TrafficMatrix, y []float64, keep 
 	return est, pr.Stalled, pr.Iterations, err
 }
 
-// denseFallbackMaxFlops bounds the routing matrices for which a stalled
-// iterative solve may escalate to the dense SVD reference, measured by
-// the factorization's dominant cost rows²·cols (per sweep of one-sided
-// Jacobi on the transposed R). 5e7 admits the paper-scale networks
-// (n≈22: ~1e7, a 1–2 s factorization measured) and refuses n≈50 and up
-// (~1.4e8, ~21 s measured — BenchmarkNewSolverDenseSVD in
-// BENCH_pr3.json), where a stalled bin keeps LSQR's almost-converged
-// iterate instead of turning one bad bin into a run-killing SVD.
-const denseFallbackMaxFlops = 5e7
-
 // settle forms the estimate prior + W^{1/2}·z (sqrtw nil: W = I) from
-// LSQR's correction z and applies the one stall policy of every
-// iterative path, weighted or not, cold or blocked: a stalled, fully
-// observed solve escalates to the dense reference when the
-// factorization is affordable at the problem's scale
-// (denseFallbackMaxFlops); above the cap, and always on a masked solve
-// (the dense reference has no row-mask form), the bin keeps LSQR's
-// almost-converged minimum-norm iterate. Either way the stall is
-// reported, so the pipeline can count it instead of hiding a quality or
-// cost surprise.
-func (s *Solver) settle(prior *tm.TrafficMatrix, y, z, sqrtw []float64, rep linalg.LSQRReport, masked bool) (*tm.TrafficMatrix, Projection, error) {
-	pr := Projection{Iterations: rep.Iterations, Stalled: !rep.Converged}
-	csr := s.rm.CSR()
-	rows := float64(csr.Rows())
-	if pr.Stalled && !masked && rows*rows*float64(csr.Cols()) <= denseFallbackMaxFlops {
-		pr.DenseFallback = true
-		est, err := s.ProjectDense(prior, y, sqrtw != nil)
-		return est, pr, err
-	}
-	return addCorrection(prior, z, sqrtw), pr, nil
-}
-
-// ProjectDense is the dense reference implementation of Project for a
-// fully observed bin, selected by WithDense (icest -dense) for
-// cross-checking the iterative path and taken by an affordable stall.
-// Unweighted, it applies the pseudo-inverse R⁺ = V Σ⁺ Uᵀ through the
-// lazily-cached SVD of R: the first call pays the one-time
-// O((L+2n)²·n²) Jacobi factorization, later ones two dense
-// matrix-vector products. Weighted, it materializes R·W^{1/2} and solves
-// the minimum-norm problem by a fresh SVD — O((L+2n)²·n²) per call. The
-// two paths agree with Project to well below 1e-8 (unweighted) and 1e-6
-// (weighted) relative, enforced by tests.
-func (s *Solver) ProjectDense(prior *tm.TrafficMatrix, y []float64, weighted bool) (*tm.TrafficMatrix, error) {
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	var err error
-	if sc.res, err = s.residual(sc.res, prior, y, nil); err != nil {
-		return nil, err
-	}
-	if weighted {
-		sqrtw := sqrtWeights(sc.sqrtw, prior)
-		sc.sqrtw = sqrtw
-		rw := s.rm.Dense().Clone()
-		for r := 0; r < rw.Rows(); r++ {
-			row := rw.Row(r)
-			for c := range row {
-				row[c] *= sqrtw[c]
-			}
-		}
-		z, err := linalg.SolveMinNorm(rw, sc.res, 0)
-		if err != nil {
-			return nil, fmt.Errorf("estimation: weighted projection: %w", err)
-		}
-		return addCorrection(prior, z, sqrtw), nil
-	}
-	if err := s.FactorDense(); err != nil {
-		return nil, err
-	}
-	// U and V are walked column-by-column; ColInto into two reused
-	// buffers keeps the inner products on contiguous memory instead of
-	// strided At calls.
-	ncols := s.rm.CSR().Cols()
-	correction := make([]float64, ncols)
-	ucol := make([]float64, len(sc.res))
-	vcol := make([]float64, ncols)
-	for k, sv := range s.svd.S {
-		if sv <= s.cut {
-			continue
-		}
-		s.svd.U.ColInto(k, ucol)
-		coef := linalg.Dot(ucol, sc.res) / sv
-		if coef == 0 {
-			continue
-		}
-		s.svd.V.ColInto(k, vcol)
-		for c, v := range vcol {
-			correction[c] += coef * v
-		}
-	}
-	return addCorrection(prior, correction, nil), nil
+// LSQR's correction z and reports the solve. It is the one stall policy
+// of every iterative path, weighted or not, masked or not, cold or
+// blocked: a stalled bin keeps LSQR's almost-converged minimum-norm
+// iterate, and the stall is reported so the pipeline can count it
+// instead of hiding a quality surprise.
+func settle(prior *tm.TrafficMatrix, z, sqrtw []float64, rep linalg.LSQRReport) (*tm.TrafficMatrix, Projection) {
+	return addCorrection(prior, z, sqrtw), Projection{Iterations: rep.Iterations, Stalled: !rep.Converged}
 }
 
 // IPF rescales x by iterative proportional fitting until its row sums

@@ -44,8 +44,8 @@ func (e *Estimator) estimateSeriesWarm(prior Prior, bins int, observed func(int)
 // bins are solved in blocks of up to warmBlockK right-hand sides, every
 // block warm-started from the previous block's last converged
 // correction (the first block starts cold from the prior, so the chunk
-// depends on nothing outside itself). Masked bins, weighted/dense
-// option runs and every post-processing step go through exactly the
+// depends on nothing outside itself). Masked bins, weighted sessions
+// and every post-processing step go through exactly the
 // same prepareBin/projectBin/finishBin stages as the cold path, so the
 // two paths cannot drift in semantics or error text. The chunk reports
 // its first failing bin's error.

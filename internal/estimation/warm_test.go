@@ -278,83 +278,6 @@ func TestObservabilityFloorBoundary(t *testing.T) {
 	}
 }
 
-// TestDenseDowngradedSurfaced: a dense cross-check bin that loses link
-// reports is downgraded to the masked iterative solve — and says so,
-// per bin and in the run stats, instead of silently not cross-checking.
-func TestDenseDowngradedSurfaced(t *testing.T) {
-	rm, truth := warmFixture(t, 8)
-	mkY := func(drop int) []float64 {
-		y, err := rm.LinkLoads(truth.At(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < drop; i++ {
-			y[i] = math.NaN()
-		}
-		return y
-	}
-	cases := []struct {
-		name string
-		opts []Option
-		want bool
-	}{
-		{"dense", []Option{WithDense(true)}, true},
-		{"weighted+dense", []Option{WithWeighted(true), WithDense(true)}, true},
-		{"default-masked", nil, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			est, err := NewEstimator(rm, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, diag, err := est.EstimateBin(GravityPrior{}, 0, mkY(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !diag.Degraded || diag.DenseDowngraded != tc.want {
-				t.Fatalf("one dropped link: diag %+v, want DenseDowngraded=%v", diag, tc.want)
-			}
-			_, clean, err := est.EstimateBin(GravityPrior{}, 0, mkY(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if clean.DenseDowngraded || clean.Degraded {
-				t.Fatalf("clean bin: diag %+v, want no degradation flags", clean)
-			}
-		})
-	}
-
-	// Series level: under the lossy profile every degraded bin of a dense
-	// sweep is a downgraded bin, and the stats say so.
-	dense, err := NewEstimator(rm, WithDense(true), WithFaultInjection(faults.Lossy(), 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := dense.EstimateSeries(truth, GravityPrior{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Stats.DegradedBins == 0 {
-		t.Fatal("lossy dense sweep produced no degraded bins; the test exercised nothing")
-	}
-	if r.Stats.DenseDowngrades != r.Stats.DegradedBins {
-		t.Fatalf("DenseDowngrades = %d, DegradedBins = %d: every degraded dense bin must be counted as downgraded",
-			r.Stats.DenseDowngrades, r.Stats.DegradedBins)
-	}
-	clean, err := NewEstimator(rm, WithDense(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rClean, err := clean.EstimateSeries(truth, GravityPrior{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rClean.Stats.DenseDowngrades != 0 {
-		t.Fatalf("clean dense sweep reported %d downgrades", rClean.Stats.DenseDowngrades)
-	}
-}
-
 // TestStaleObsReuseMatchesPerBinSynthesis: EstimateSeries precomputes
 // each bin's clean observation once when the fault profile needs the
 // previous bin's (stale reports), instead of synthesizing its

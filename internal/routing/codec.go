@@ -38,9 +38,6 @@ const MaxDecodeNodes = 1 << 10
 // returns the extended slice:
 //
 //	version(1) | N | L | Sparse encoding of the CSR view
-//
-// The lazily-materialized dense form is never serialized — it is
-// derivable, and only the dense cross-check paths pay for it.
 func (m *Matrix) AppendBinary(buf []byte) []byte {
 	buf = append(buf, matrixCodecVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.N))

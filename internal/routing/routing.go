@@ -18,7 +18,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"ictm/internal/linalg"
 	"ictm/internal/tm"
@@ -37,8 +36,8 @@ var ErrInput = errors.New("routing: invalid input")
 // n=200 network alone is ~300 MB). The CSR view is immutable once built;
 // routing changes (link failures, re-weighted ECMP) yield a new Matrix —
 // incrementally via Patch for a topology delta, or from scratch via
-// Build. The dense form exists only behind Dense(), materialized lazily
-// for the dense SVD cross-check paths.
+// Build. No estimation path materializes the dense form; a caller that
+// needs it calls CSR().Dense().
 type Matrix struct {
 	// N is the number of access points; L the number of directed links.
 	N, L int
@@ -46,26 +45,11 @@ type Matrix struct {
 	// csr is the (L + 2n) x n² routing matrix in CSR form, built at
 	// construction and never mutated.
 	csr *linalg.Sparse
-
-	// dense lazily materializes the dense form of csr on first Dense()
-	// call. Only the dense reference path (Solver.ProjectDense) pays
-	// for it.
-	denseOnce sync.Once
-	dense     *linalg.Matrix
 }
 
 // CSR returns the sparse view of R. It is built once at construction and
 // is safe for concurrent use.
 func (m *Matrix) CSR() *linalg.Sparse { return m.csr }
-
-// Dense materializes (once, lazily) and returns the dense form of R.
-// Only the dense SVD cross-check paths need it; everything on the hot
-// estimation path runs on the CSR view. The returned matrix is shared
-// and must not be mutated. Safe for concurrent use.
-func (m *Matrix) Dense() *linalg.Matrix {
-	m.denseOnce.Do(func() { m.dense = m.csr.Dense() })
-	return m.dense
-}
 
 // FromCSR wraps an explicit CSR routing matrix with its layout metadata
 // (tests and callers assembling measurement operators by hand). The

@@ -32,8 +32,8 @@ func TestBuildShape(t *testing.T) {
 	if m.N != 3 || m.L != 4 {
 		t.Fatalf("N=%d L=%d, want 3, 4", m.N, m.L)
 	}
-	if m.Dense().Rows() != m.Rows() || m.Dense().Cols() != 9 {
-		t.Fatalf("R is %dx%d", m.Dense().Rows(), m.Dense().Cols())
+	if r := m.CSR().Dense(); r.Rows() != m.Rows() || r.Cols() != 9 {
+		t.Fatalf("R is %dx%d", r.Rows(), r.Cols())
 	}
 }
 
@@ -124,12 +124,13 @@ func TestMarginalRowsMatchMatrix(t *testing.T) {
 // pairs on the line graph.
 func TestColumnHopCounts(t *testing.T) {
 	_, m := buildLine(t)
+	dense := m.CSR().Dense()
 	// Pair (0,2) has the unique 2-hop path, so its column must sum to 2
 	// over link rows.
 	col := tm.PairIndex(3, 0, 2)
 	var sum float64
 	for r := 0; r < m.L; r++ {
-		sum += m.Dense().At(r, col)
+		sum += dense.At(r, col)
 	}
 	if math.Abs(sum-2) > 1e-12 {
 		t.Errorf("hop-weighted column sum = %g, want 2", sum)
@@ -138,7 +139,7 @@ func TestColumnHopCounts(t *testing.T) {
 	colSelf := tm.PairIndex(3, 1, 1)
 	sum = 0
 	for r := 0; r < m.L; r++ {
-		sum += m.Dense().At(r, colSelf)
+		sum += dense.At(r, colSelf)
 	}
 	if sum != 0 {
 		t.Errorf("self-pair link usage = %g, want 0", sum)
@@ -158,9 +159,10 @@ func TestECMPFractionalEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := tm.PairIndex(4, 0, 3)
+	dense := m.CSR().Dense()
 	half := 0
 	for r := 0; r < m.L; r++ {
-		v := m.Dense().At(r, col)
+		v := dense.At(r, col)
 		if v != 0 && math.Abs(v-0.5) > 1e-12 {
 			t.Errorf("unexpected fraction %g", v)
 		}
@@ -230,10 +232,11 @@ func TestMarginalRowColumnSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for col := 0; col < m.Dense().Cols(); col++ {
+	dense := m.CSR().Dense()
+	for col := 0; col < dense.Cols(); col++ {
 		var s float64
 		for r := m.L; r < m.Rows(); r++ {
-			s += m.Dense().At(r, col)
+			s += dense.At(r, col)
 		}
 		if math.Abs(s-2) > 1e-12 {
 			t.Fatalf("column %d marginal mass = %g, want 2", col, s)
@@ -253,9 +256,10 @@ func TestColumnFractionBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for col := 0; col < m.Dense().Cols(); col++ {
+	dense := m.CSR().Dense()
+	for col := 0; col < dense.Cols(); col++ {
 		for r := 0; r < m.L; r++ {
-			if v := m.Dense().At(r, col); v < 0 || v > 1+1e-9 {
+			if v := dense.At(r, col); v < 0 || v > 1+1e-9 {
 				t.Fatalf("R[%d][%d] = %g outside [0,1]", r, col, v)
 			}
 		}

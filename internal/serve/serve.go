@@ -229,21 +229,18 @@ type Stats struct {
 	// Bins counts bins estimated, BinErrors those that failed in-band.
 	Bins      int64 `json:"bins"`
 	BinErrors int64 `json:"bin_errors"`
-	// IPFNonConverged, ProjectStalls and WeightedDenseFallbacks
-	// aggregate the corresponding BinDiag flags (see estimation.RunStats
-	// for their operational meaning).
-	IPFNonConverged        int64 `json:"ipf_non_converged"`
-	ProjectStalls          int64 `json:"project_stalls"`
-	WeightedDenseFallbacks int64 `json:"weighted_dense_fallbacks"`
+	// IPFNonConverged and ProjectStalls aggregate the corresponding
+	// BinDiag flags (see estimation.RunStats for their operational
+	// meaning).
+	IPFNonConverged int64 `json:"ipf_non_converged"`
+	ProjectStalls   int64 `json:"project_stalls"`
 	// LSQRIterations sums the LSQR iterations consumed across all served
 	// bins (BinDiag.LSQRIterations): the service's total iterative-solver
 	// work. Divided by Bins it is NOT the mean iterations-to-converge:
 	// errored and prior-fallback bins run no iterative solve and add 0
 	// while counting in Bins. Divide by Bins − BinErrors − PriorFallbacks,
 	// the bins that ran one, for the mean — the early-warning signal for
-	// a patched topology whose routing system turned ill-conditioned. A
-	// stall that escalated to the dense reference still counts the
-	// iterations it spent.
+	// a patched topology whose routing system turned ill-conditioned.
 	LSQRIterations int64 `json:"lsqr_iterations"`
 	// DegradedBins counts bins estimated under a row mask (missing link
 	// reports), LinksDropped the equations those bins lost in total, and
@@ -305,7 +302,6 @@ type Engine struct {
 	binErrors atomic.Int64
 	ipfNC     atomic.Int64
 	stalls    atomic.Int64
-	denseFB   atomic.Int64
 	lsqrIters atomic.Int64
 	degraded  atomic.Int64
 	dropped   atomic.Int64
@@ -317,8 +313,8 @@ type Engine struct {
 }
 
 // solverEntry is one topology's lazily-built estimation session. The
-// once guards graph + routing + estimator construction (the FactorDense
-// pattern): the first stream naming a topology pays the O(nnz) build,
+// once guards graph + routing + estimator construction: the first
+// stream naming a topology pays the O(nnz) build,
 // every later stream shares the result, and a failed build is cached as
 // its error.
 type solverEntry struct {
@@ -1164,9 +1160,6 @@ func (e *Engine) open(ctx context.Context, base *estimation.Estimator, rm *routi
 				if est.Diag.ProjectStalled {
 					e.stalls.Add(1)
 				}
-				if est.Diag.WeightedDenseFallback {
-					e.denseFB.Add(1)
-				}
 				if est.Diag.Degraded {
 					e.degraded.Add(1)
 					e.dropped.Add(int64(est.Diag.LinksDropped))
@@ -1337,24 +1330,23 @@ func (e *Engine) Stats() Stats {
 	regEvic := e.regEvic
 	e.mu.Unlock()
 	s := Stats{
-		Workers:                parallel.Resolve(e.workers),
-		Topologies:             topologies,
-		TopologiesEvicted:      evicted,
-		RegisteredTopologies:   regTopos,
-		RegisteredPriors:       regPriors,
-		RegistrationsEvicted:   regEvic,
-		Draining:               e.draining.Load(),
-		Streams:                e.streams.Load(),
-		Bins:                   e.bins.Load(),
-		BinErrors:              e.binErrors.Load(),
-		IPFNonConverged:        e.ipfNC.Load(),
-		ProjectStalls:          e.stalls.Load(),
-		WeightedDenseFallbacks: e.denseFB.Load(),
-		LSQRIterations:         e.lsqrIters.Load(),
-		DegradedBins:           e.degraded.Load(),
-		LinksDropped:           e.dropped.Load(),
-		PriorFallbacks:         e.priorFB.Load(),
-		RoutingBuilds:          e.builds.Load(),
+		Workers:              parallel.Resolve(e.workers),
+		Topologies:           topologies,
+		TopologiesEvicted:    evicted,
+		RegisteredTopologies: regTopos,
+		RegisteredPriors:     regPriors,
+		RegistrationsEvicted: regEvic,
+		Draining:             e.draining.Load(),
+		Streams:              e.streams.Load(),
+		Bins:                 e.bins.Load(),
+		BinErrors:            e.binErrors.Load(),
+		IPFNonConverged:      e.ipfNC.Load(),
+		ProjectStalls:        e.stalls.Load(),
+		LSQRIterations:       e.lsqrIters.Load(),
+		DegradedBins:         e.degraded.Load(),
+		LinksDropped:         e.dropped.Load(),
+		PriorFallbacks:       e.priorFB.Load(),
+		RoutingBuilds:        e.builds.Load(),
 	}
 	if e.store != nil {
 		c := e.store.Counters()
