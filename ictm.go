@@ -254,7 +254,7 @@ type (
 
 // Estimator options.
 var (
-	// WithWorkers bounds the per-bin (and, in Compare, per-prior)
+	// WithWorkers bounds the per-chunk (and, in Compare, per-prior)
 	// fan-out: 0 = GOMAXPROCS, 1 = sequential; results are bit-identical
 	// for every value.
 	WithWorkers = estimation.WithWorkers
@@ -266,11 +266,6 @@ var (
 	WithIPF = estimation.WithIPF
 	// WithLinkNoise injects seeded lognormal observation noise.
 	WithLinkNoise = estimation.WithLinkNoise
-	// WithWarmStart routes EstimateSeries through blocked multi-RHS
-	// solves with cross-bin warm starts (~1.8x on long series; results
-	// stay deterministic per worker count but differ bitwise from the
-	// default per-bin path, so it is opt-in).
-	WithWarmStart = estimation.WithWarmStart
 )
 
 // NewEstimator builds an estimation session for a routing matrix; see

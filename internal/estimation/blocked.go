@@ -11,18 +11,18 @@ import (
 //
 // minBlockLanes is the smallest block worth a linalg.LSQRMulti call:
 // smaller blocks solve lane by lane through linalg.LSQR, which is
-// bitwise-identical per lane, cold or warm. Measured on ISPLike(100)
-// (148 iterations a bin, 2-CPU host), a cold LSQRMulti block runs at
-// 0.69–0.74x of per-bin LSQR with one lane and 0.90–0.96x with two, and
-// at 1.56–1.68x with four; at n=22 one lane runs at 0.43x.
+// bitwise-identical per lane. Measured on ISPLike(100) (148 iterations
+// a bin, 2-CPU host), an LSQRMulti block runs at 0.69–0.74x of per-bin
+// LSQR with one lane and 0.90–0.96x with two, and at 1.56–1.68x with
+// four; at n=22 one lane runs at 0.43x.
 //
-// coldBlockK is the widest cold block EstimateBins forms: 1.74–1.89x at
-// 8 lanes, 1.92–1.93x at 12 and 1.88–1.99x at 16 (same host), so wider
-// blocks buy nothing but working storage (k·n² floats per Lanczos
-// vector).
+// maxBlockLanes is the widest block EstimateBins forms and the longest
+// chunk EstimateSeries cuts: 1.74–1.89x at 8 lanes, 1.92–1.93x at 12
+// and 1.88–1.99x at 16 (same host), so wider blocks buy nothing but
+// working storage (k·n² floats per Lanczos vector).
 const (
 	minBlockLanes = 4
-	coldBlockK    = 16
+	maxBlockLanes = 16
 )
 
 // groupBin carries one bin of a group through the grouped path's
@@ -73,7 +73,7 @@ func (e *Estimator) EstimateBins(prior Prior, obs []Observation) []BinOutcome {
 	for i, o := range obs {
 		bins[i].t, bins[i].y = o.T, o.Y
 	}
-	e.estimateGroup(prior, bins, coldBlockK, false)
+	e.estimateGroup(prior, bins)
 	out := make([]BinOutcome, len(bins))
 	for i, b := range bins {
 		out[i] = BinOutcome{Estimate: b.est, Diag: b.diag, Err: b.err, Blocked: b.blocked}
@@ -85,8 +85,8 @@ func (e *Estimator) EstimateBins(prior Prior, obs []Observation) []BinOutcome {
 // recording each bin's estimate or error: projectGroup, then finishBin.
 // Sharing the stages with EstimateBin is what keeps the grouped paths'
 // semantics and error text identical to it.
-func (e *Estimator) estimateGroup(prior Prior, bins []groupBin, blockK int, warm bool) {
-	e.projectGroup(prior, bins, blockK, warm)
+func (e *Estimator) estimateGroup(prior Prior, bins []groupBin) {
+	e.projectGroup(prior, bins)
 	for i := range bins {
 		b := &bins[i]
 		if b.err != nil {
@@ -101,9 +101,8 @@ func (e *Estimator) estimateGroup(prior Prior, bins []groupBin, blockK int, warm
 // projectGroup runs bins through EstimateBin's stages up to the
 // projection, leaving each bin's unclamped projection in b.est (or its
 // error in b.err): prepareBin for every bin, solveBlocked for the clean
-// unweighted ones (blocks of up to blockK lanes, cold or warm-chained),
-// projectBin for the rest.
-func (e *Estimator) projectGroup(prior Prior, bins []groupBin, blockK int, warm bool) {
+// unweighted ones, projectBin for the rest.
+func (e *Estimator) projectGroup(prior Prior, bins []groupBin) {
 	s := e.solver
 	// The blocked solver implements only the unweighted projection: a
 	// weighted session routes every bin through projectBin below (masked
@@ -118,7 +117,7 @@ func (e *Estimator) projectGroup(prior Prior, bins []groupBin, blockK int, warm 
 			lanes = append(lanes, b)
 		}
 	}
-	s.solveBlocked(lanes, blockK, warm)
+	s.solveBlocked(lanes)
 	for i := range bins {
 		b := &bins[i]
 		if b.err != nil || b.est != nil {
@@ -134,26 +133,23 @@ func (e *Estimator) projectGroup(prior Prior, bins []groupBin, blockK int, warm 
 }
 
 // solveBlocked projects clean, unweighted, fully observed bins in
-// blocks of up to blockK lanes: one linalg.LSQRMulti call per block of
-// at least minBlockLanes, one linalg.LSQR per lane below that. Cold
-// (warm false), every solve starts from zero, so each lane is
-// bitwise-identical to Solver.Project on its bin. Warm, each block
-// starts from the previous block's last converged correction, the
-// first from zero. Each lane is settled by Solver.Project's stall
-// policy (settle, which keeps the iterate) and gets its estimate or
-// error. Working storage comes from the solver's scratch pool.
-func (s *Solver) solveBlocked(lanes []*groupBin, blockK int, warm bool) {
+// blocks of up to maxBlockLanes: one linalg.LSQRMulti call per block of
+// at least minBlockLanes, one linalg.LSQR per lane below that. Every
+// solve starts from zero, so each lane is bitwise-identical to
+// Solver.Project on its bin. Each lane is settled by Solver.Project's
+// stall policy (settle, which keeps the iterate) and gets its estimate
+// or error. Working storage comes from the solver's scratch pool.
+func (s *Solver) solveBlocked(lanes []*groupBin) {
 	if len(lanes) == 0 {
 		return
 	}
 	csr := s.rm.CSR()
 	sc := s.getScratch()
 	defer s.putScratch(sc)
-	var x0 []float64
-	for start := 0; start < len(lanes); start += blockK {
-		blk := lanes[start:min(start+blockK, len(lanes))]
+	for start := 0; start < len(lanes); start += maxBlockLanes {
+		blk := lanes[start:min(start+maxBlockLanes, len(lanes))]
 		bs, dst := sc.block(len(blk), csr.Cols())
-		reps, err := s.solveLanes(blk, bs, dst, x0, sc)
+		reps, err := s.solveLanes(blk, bs, dst, sc)
 		for i, b := range blk {
 			if err != nil {
 				b.err = fmt.Errorf("estimation: project bin %d: %w", b.t, err)
@@ -162,23 +158,16 @@ func (s *Solver) solveBlocked(lanes []*groupBin, blockK int, warm bool) {
 			var pr Projection
 			b.est, pr = settle(b.p, dst[i], nil, reps[i])
 			b.diag.recordProjection(pr)
-			b.diag.WarmStarted = x0 != nil
 			b.blocked = len(blk) >= minBlockLanes
-		}
-		if warm && err == nil {
-			// The next block warm-starts from this block's last
-			// correction, copied out of the storage the next block reuses.
-			sc.x0 = append(sc.x0[:0], dst[len(blk)-1]...)
-			x0 = sc.x0
 		}
 	}
 }
 
-// solveLanes forms one block's residuals in bs and solves them from x0
-// into dst: by LSQRMulti from minBlockLanes lanes up, lane by lane by
+// solveLanes forms one block's residuals in bs and solves them into
+// dst: by LSQRMulti from minBlockLanes lanes up, lane by lane by
 // LSQR below. An error names the step that failed, as Solver.Project's
 // would.
-func (s *Solver) solveLanes(blk []*groupBin, bs, dst [][]float64, x0 []float64, sc *solveScratch) ([]linalg.LSQRReport, error) {
+func (s *Solver) solveLanes(blk []*groupBin, bs, dst [][]float64, sc *solveScratch) ([]linalg.LSQRReport, error) {
 	csr := s.rm.CSR()
 	var err error
 	for i, b := range blk {
@@ -187,7 +176,7 @@ func (s *Solver) solveLanes(blk []*groupBin, bs, dst [][]float64, x0 []float64, 
 		}
 	}
 	if len(blk) >= minBlockLanes {
-		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQRMultiOptions{MaxIter: s.maxIter, X0: x0, Work: &sc.multi})
+		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQRMultiOptions{MaxIter: s.maxIter, Work: &sc.multi})
 		if err != nil {
 			return nil, fmt.Errorf("estimation: projection: %w", err)
 		}
@@ -195,7 +184,7 @@ func (s *Solver) solveLanes(blk []*groupBin, bs, dst [][]float64, x0 []float64, 
 	}
 	sc.reps = sc.reps[:0]
 	for i := range blk {
-		z, rep, err := linalg.LSQR(csr, bs[i], linalg.LSQROptions{MaxIter: s.maxIter, X0: x0, Work: &sc.lsqr})
+		z, rep, err := linalg.LSQR(csr, bs[i], linalg.LSQROptions{MaxIter: s.maxIter, Work: &sc.lsqr})
 		if err != nil {
 			return nil, fmt.Errorf("estimation: projection: %w", err)
 		}

@@ -1,21 +1,18 @@
 package estimation
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"testing"
 )
 
-// groupObservations builds a 24-bin observation stream over the warm
+// groupObservations builds a 24-bin observation stream over the series
 // fixture mixing clean bins with every per-bin defect: masked bins (two
 // NaN links), one bin below the observability floor, one wrong-length
 // bin and one NaN marginal. It returns the stream and its clean count.
 func groupObservations(t *testing.T) ([]Observation, *Estimator, int) {
 	t.Helper()
-	rm, truth := warmFixture(t, 24)
+	rm, truth := seriesFixture(t, 24)
 	est, err := NewEstimator(rm)
 	if err != nil {
 		t.Fatal(err)
@@ -75,11 +72,11 @@ func requireOutcomeIsEstimateBin(t *testing.T, label string, est *Estimator, pri
 // TestEstimateBinsMatchesEstimateBin: the grouped entry point returns,
 // bin for bin, exactly what EstimateBin returns — for every option set
 // the blocked solve serves or bypasses. Clean bins of an unweighted
-// session take LSQRMulti in blocks of up to coldBlockK; a
+// session take LSQRMulti in blocks of up to maxBlockLanes; a
 // remainder below minBlockLanes (here one lane) solves through LSQR.
 func TestEstimateBinsMatchesEstimateBin(t *testing.T) {
 	obs, base, clean := groupObservations(t)
-	if clean <= coldBlockK || (clean-coldBlockK) >= minBlockLanes {
+	if clean <= maxBlockLanes || (clean-maxBlockLanes) >= minBlockLanes {
 		t.Fatalf("fixture has %d clean bins; want one full block plus a short remainder", clean)
 	}
 	cases := []struct {
@@ -87,8 +84,8 @@ func TestEstimateBinsMatchesEstimateBin(t *testing.T) {
 		opts    []Option
 		blocked int
 	}{
-		{"plain", nil, coldBlockK},
-		{"skipipf", []Option{WithSkipIPF(true)}, coldBlockK},
+		{"plain", nil, maxBlockLanes},
+		{"skipipf", []Option{WithSkipIPF(true)}, maxBlockLanes},
 		{"weighted", []Option{WithWeighted(true)}, 0},
 	}
 	for _, c := range cases {
@@ -126,40 +123,5 @@ func TestEstimateBinsSmallGroupsSolvePerBin(t *testing.T) {
 	}
 	if out := est.EstimateBins(GravityPrior{}, nil); len(out) != 0 {
 		t.Fatalf("%d outcomes for no bins", len(out))
-	}
-}
-
-// TestWarmShortTailPinned: a warm chunk whose clean bins end in a block
-// narrower than minBlockLanes solves that block lane by lane through
-// LSQR, warm-started from the previous block. The 27-bin series puts an
-// 8+3 split in its second chunk; its digest and stats were recorded when
-// every warm block, however narrow, ran through LSQRMulti.
-func TestWarmShortTailPinned(t *testing.T) {
-	const want = "43072381fcb7fac86a31602d5aa3403755683c651c11ed9a8dafff262f1af5d7"
-	rm, truth := warmFixture(t, 27)
-	for _, workers := range []int{1, 4} {
-		est, err := NewEstimator(rm, WithWorkers(workers), WithWarmStart(true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := est.EstimateSeries(truth, GravityPrior{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		var buf [8]byte
-		for i := 0; i < r.Estimates.Len(); i++ {
-			for _, v := range r.Estimates.At(i).Vec() {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != want {
-			t.Errorf("workers=%d: digest %s, want %s", workers, got, want)
-		}
-		if s := r.Stats; s.LSQRIterationsTotal != 1307 || s.WarmStartedBins != 11 {
-			t.Errorf("workers=%d: %d LSQR iterations, %d warm-started bins; want 1307, 11",
-				workers, s.LSQRIterationsTotal, s.WarmStartedBins)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ictm/internal/faults"
 	"ictm/internal/linalg"
+	"ictm/internal/parallel"
 	"ictm/internal/routing"
 	"ictm/internal/synth"
 	"ictm/internal/tm"
@@ -245,16 +246,18 @@ func TestCertifyCalibratedAgainstDense(t *testing.T) {
 	}
 }
 
-// certifyAtScale certifies every bin of clean, lossy, weighted and
-// warm-started series of hourly ISPLike(n) bins — the backbone-stub
-// shape of the service's hundred-node workloads — from bin 24 on.
-// Each bin is projected by projectGroup and finished by finishBin, the
-// two stages the served grouped paths (EstimateBins, the warm chunks)
-// run, so the certificates speak about what the service returns. The
-// cold series run coldBins bins and the weighted one weightedBins (its
-// solves take 20–30x the iterations). The warm series is one chunk of
-// warmBlockK+1 bins: a cold block, then one bin warm-started from it.
-func certifyAtScale(t *testing.T, n, coldBins, weightedBins int) {
+// certifyAtScale certifies every bin of clean, lossy and weighted
+// series of hourly ISPLike(n) bins — the backbone-stub shape of the
+// service's hundred-node workloads — from bin 24 on, and one
+// EstimateSeries chunk. Each bin is projected by projectGroup and
+// finished by finishBin, the two stages the grouped paths
+// (EstimateBins, EstimateSeries' chunks) run, so the certificates speak
+// about what the service and the series path return. The clean and
+// lossy series run cleanBins bins and the weighted one weightedBins
+// (its solves take 20–30x the iterations). The chunk is the first one
+// EstimateSeries cuts from a 9-bin series over two workers: 8 bins,
+// solved as one 8-lane LSQRMulti block.
+func certifyAtScale(t *testing.T, n, cleanBins, weightedBins int) {
 	sc := synth.ISPLike(n)
 	sc.BinsPerWeek, sc.BinSeconds, sc.Weeks = 2*24, 3600, 1
 	d, err := synth.Generate(sc)
@@ -276,12 +279,12 @@ func certifyAtScale(t *testing.T, n, coldBins, weightedBins int) {
 		bins  int
 		opts  []Option
 		lossy bool
-		warm  bool
+		chunk bool
 	}{
-		{name: "clean", bins: coldBins},
-		{name: "lossy", bins: coldBins, lossy: true},
+		{name: "clean", bins: cleanBins},
+		{name: "lossy", bins: cleanBins, lossy: true},
 		{name: "weighted", bins: weightedBins, opts: []Option{WithWeighted(true)}},
-		{name: "warm", bins: warmBlockK + 1, opts: []Option{WithWarmStart(true)}, warm: true},
+		{name: "chunk", bins: parallel.BatchSize(9, 2, maxBlockLanes), chunk: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := NewEstimator(rm, tc.opts...)
@@ -307,8 +310,8 @@ func certifyAtScale(t *testing.T, n, coldBins, weightedBins int) {
 				}
 				group[i].t, group[i].y = i, y
 			}
-			e.projectGroup(prior, group, warmBlockK, tc.warm)
-			var degraded, warmStarted int
+			e.projectGroup(prior, group)
+			var degraded int
 			for i := range group {
 				b := &group[i]
 				if b.err != nil {
@@ -328,15 +331,12 @@ func certifyAtScale(t *testing.T, n, coldBins, weightedBins int) {
 				if b.diag.Degraded {
 					degraded++
 				}
-				if b.diag.WarmStarted {
-					warmStarted++
+				if tc.chunk && !b.blocked {
+					t.Fatalf("chunk bin %d solved outside the blocked kernel", i)
 				}
 			}
 			if tc.lossy && degraded == 0 {
 				t.Fatal("lossy series degraded no bin; the masked solve went uncertified")
-			}
-			if tc.warm && warmStarted == 0 {
-				t.Fatal("no bin was warm-started; the warm chain went uncertified")
 			}
 		})
 	}

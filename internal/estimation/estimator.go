@@ -61,9 +61,9 @@ func (r *priorRegistry) snapshot() []registeredPrior {
 // derivation (With).
 type Option func(*options)
 
-// WithWorkers bounds how many bins (EstimateSeries) or priors (Compare)
-// are estimated concurrently: 0 selects GOMAXPROCS, 1 the plain
-// sequential loop. Results are bit-identical for every value.
+// WithWorkers bounds how many series chunks (EstimateSeries) or priors
+// (Compare) are estimated concurrently: 0 selects GOMAXPROCS, 1 the
+// plain sequential loop. Results are bit-identical for every value.
 func WithWorkers(n int) Option { return func(o *options) { o.Workers = n } }
 
 // WithWeighted switches the projection step to the prior-weighted
@@ -107,28 +107,6 @@ func WithFaultInjection(p faults.Profile, seed uint64) Option {
 		o.FaultSeed = seed
 	}
 }
-
-// WithWarmStart switches EstimateSeries to the warm-started, blocked
-// solve path: bins are partitioned into fixed-size contiguous chunks (a
-// function of the series length only, never of the worker count), and
-// within each chunk the clean unweighted full-observability bins are
-// solved in blocks of up to warmBlockK right-hand sides by one
-// linalg.LSQRMulti call, each block warm-started from the previous
-// block's converged correction — the first block of every chunk starts
-// cold, so chunks stay independent and the workers=1 ≡ workers=N
-// bitwise contract holds for any worker count.
-//
-// Warm estimates are NOT bit-identical to the cold default: both
-// converge to the same LSQR tolerance (1e-13), but a warm solve returns
-// x0 + min-norm(residual system) instead of the minimum-norm solution
-// of the full system, trading the per-bin minimum-norm tie-break for
-// continuity with the previous bin's correction — a deliberate choice
-// for slowly-varying traffic, where the previous correction is the
-// better prior belief about the null-space component. Masked and
-// weighted bins are never blocked or warm-started: they solve exactly
-// as the default path solves them. BinDiag.WarmStarted and
-// RunStats.WarmStartedBins report which bins took the warm path.
-func WithWarmStart(on bool) Option { return func(o *options) { o.WarmStart = on } }
 
 // NewEstimator builds an estimation session for a routing matrix: it
 // constructs (and owns) the shared tomogravity Solver and fixes the
@@ -277,9 +255,13 @@ type SeriesResult struct {
 // EstimateSeries estimates every bin of the true series and reports
 // per-bin errors and run diagnostics. The observation vector for each
 // bin is Y = R·x(t), optionally perturbed by the session's link-noise
-// policy. Bins fan out under the session's worker bound; the solver is
-// shared read-only and every bin writes only its own result slot, so
-// results are bit-identical to the sequential path.
+// policy (and fault profile). The series is cut into contiguous chunks
+// by parallel.BatchSize — ⌈bins/workers⌉ rounded up to a multiple of
+// four, at most maxBlockLanes — which fan out under the session's worker
+// bound, each estimated like EstimateBins. Every bin's estimate,
+// error and diagnostics are exactly those of EstimateBin on its
+// observation, for every worker count; on error, the lowest failing
+// bin's is returned.
 func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult, error) {
 	rm := e.solver.rm
 	if truth.N() != rm.N {
@@ -355,32 +337,33 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 		return y, nil
 	}
 	results := make([]BinResult, bins)
-	// finishResult scores one estimated bin against the truth and stores
-	// it — shared by the cold per-bin fan-out and the warm chunked path.
-	finishResult := func(t int, est *tm.TrafficMatrix, diag BinDiag) error {
-		relErr, err := tm.RelL2(truth.At(t), est)
-		if err != nil {
-			return fmt.Errorf("estimation: bin %d: %w", t, err)
-		}
-		results[t] = BinResult{Estimate: est, RelL2: relErr, Diag: diag}
-		return nil
-	}
-	var err error
-	if e.opts.WarmStart {
-		err = e.estimateSeriesWarm(prior, bins, observed, finishResult)
-	} else {
-		err = parallel.ForEach(e.opts.Workers, bins, func(t int) error {
+	chunk := max(parallel.BatchSize(bins, e.opts.Workers, maxBlockLanes), 1)
+	err := parallel.ForEach(e.opts.Workers, (bins+chunk-1)/chunk, func(c int) error {
+		// A failed observation ends the chunk after the bins before it,
+		// as it would end a bin-by-bin loop.
+		var obsErr error
+		group := make([]groupBin, 0, chunk)
+		for t := c * chunk; t < min((c+1)*chunk, bins); t++ {
 			y, err := observed(t)
 			if err != nil {
-				return err
+				obsErr = err
+				break
 			}
-			est, diag, err := e.EstimateBin(prior, t, y)
+			group = append(group, groupBin{t: t, y: y})
+		}
+		e.estimateGroup(prior, group)
+		for _, b := range group {
+			if b.err != nil {
+				return b.err
+			}
+			relErr, err := tm.RelL2(truth.At(b.t), b.est)
 			if err != nil {
-				return err
+				return fmt.Errorf("estimation: bin %d: %w", b.t, err)
 			}
-			return finishResult(t, est, diag)
-		})
-	}
+			results[b.t] = BinResult{Estimate: b.est, RelL2: relErr, Diag: b.diag}
+		}
+		return obsErr
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -409,20 +392,25 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 		if r.Diag.PriorFallback {
 			out.Stats.PriorFallbacks++
 		}
-		if r.Diag.WarmStarted {
-			out.Stats.WarmStartedBins++
-		}
 	}
 	return out, nil
 }
 
 // Compare sweeps several priors over the same truth, sharing the
-// session's solver, and returns per-prior results keyed by prior name.
-// Priors fan out under the session's worker bound (each inner series
-// also parallelizes over bins); per-prior results match the sequential
-// path exactly because the link-noise stream is keyed by bin, not by
-// consumption order.
+// session's solver, and returns per-prior results keyed by prior name;
+// two priors with the same name are an ErrInput, reported before any
+// estimation. Priors fan out under the session's worker bound (each
+// inner series also parallelizes over chunks); per-prior results match
+// the sequential path exactly because the link-noise stream is keyed
+// by bin, not by consumption order.
 func (e *Estimator) Compare(truth *tm.Series, priors []Prior) (map[string]*SeriesResult, error) {
+	seen := make(map[string]bool, len(priors))
+	for _, p := range priors {
+		if seen[p.Name()] {
+			return nil, fmt.Errorf("%w: two priors named %q", ErrInput, p.Name())
+		}
+		seen[p.Name()] = true
+	}
 	perPrior, err := parallel.Map(e.opts.Workers, len(priors), func(i int) (*SeriesResult, error) {
 		r, err := e.EstimateSeries(truth, priors[i])
 		if err != nil {

@@ -3,6 +3,7 @@ package estimation
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"ictm/internal/routing"
@@ -115,5 +116,46 @@ func TestEstimatorRejectsMismatchedSeries(t *testing.T) {
 	}
 	if _, err := NewEstimator(nil); !errors.Is(err, ErrInput) {
 		t.Errorf("nil routing matrix: %v", err)
+	}
+}
+
+// countingPrior is the gravity prior under a chosen name, counting the
+// bins it is asked for.
+type countingPrior struct {
+	name  string
+	calls *atomic.Int64
+}
+
+func (p countingPrior) Name() string { return p.name }
+
+func (p countingPrior) PriorFor(t int, ingress, egress []float64) (*tm.TrafficMatrix, error) {
+	p.calls.Add(1)
+	return GravityPrior{}.PriorFor(t, ingress, egress)
+}
+
+// TestCompareRejectsDuplicatePriorNames: Compare keys its results by
+// prior name, so two priors sharing a name (two calibrations of the same
+// family) would lose one result. It fails with ErrInput before any bin
+// is estimated.
+func TestCompareRejectsDuplicatePriorNames(t *testing.T) {
+	rm, truth := estimatorFixture(t)
+	est, err := NewEstimator(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.Compare(truth, []Prior{&StableFPrior{F: 0.2}, &StableFPrior{F: 0.3}}); !errors.Is(err, ErrInput) {
+		t.Fatalf("two %q priors: err = %v, want ErrInput", (&StableFPrior{}).Name(), err)
+	}
+	var calls atomic.Int64
+	priors := []Prior{countingPrior{"a", &calls}, countingPrior{"b", &calls}, countingPrior{"a", &calls}}
+	if _, err := est.Compare(truth, priors); !errors.Is(err, ErrInput) {
+		t.Fatalf("two priors named \"a\": err = %v, want ErrInput", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d bins estimated before the duplicate name was rejected", n)
+	}
+	res, err := est.Compare(truth, priors[:2])
+	if err != nil || len(res) != 2 {
+		t.Fatalf("distinct names: %d results, err %v", len(res), err)
 	}
 }

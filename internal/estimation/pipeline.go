@@ -42,15 +42,14 @@ type options struct {
 	// NoiseSeed seeds the link-noise stream (so comparisons across
 	// priors see identical noise).
 	NoiseSeed uint64
-	// Workers bounds how many bins (EstimateSeries) or priors
+	// Workers bounds how many series chunks (EstimateSeries) or priors
 	// (Compare) are estimated concurrently: 0 selects GOMAXPROCS, 1 the
 	// plain sequential loop. The bound applies per fan-out level, so
-	// Compare can have up to Workers priors × Workers bins in flight;
+	// Compare can have up to Workers priors × Workers chunks in flight;
 	// Go still multiplexes them over GOMAXPROCS OS threads, so this
 	// overlaps scheduling, not CPU. Results are bit-identical for every
-	// value — each bin's link-noise variates come from an independent
-	// stream keyed by the bin index (not consumed across bins), and
-	// each bin writes only its own result slot.
+	// value — each bin's link-noise variates come from a stream keyed by
+	// the bin index, and a chunk gives every bin its per-bin bits.
 	Workers int
 	// Fault injects a tiered measurement-fault profile (counter
 	// wraparound, sampling noise, stale and missing reports) into the
@@ -62,20 +61,6 @@ type options struct {
 	// FaultSeed seeds the fault streams (so comparisons across priors
 	// see identical telemetry faults).
 	FaultSeed uint64
-	// WarmStart switches EstimateSeries to the warm-started, blocked
-	// solve path: bins are partitioned into fixed-size contiguous chunks
-	// (a function of the series length only — never of the worker
-	// count), and within each chunk the clean unweighted bins are solved
-	// in blocks of up to warmBlockK right-hand sides by linalg.LSQRMulti,
-	// each block warm-started from the previous block's converged
-	// correction (the first block of every chunk starts cold). Output is
-	// bit-identical for every Workers value, but NOT bit-identical to
-	// the cold default: warm-started solves converge to the same
-	// tolerance from a different starting iterate, trading the per-bin
-	// minimum-norm tie-break for continuity with the previous bin's
-	// correction (see WithWarmStart). Masked and weighted bins always
-	// solve exactly as the default path does.
-	WarmStart bool
 }
 
 // noiseStream returns the root link-noise generator, or nil when noise
@@ -125,13 +110,6 @@ type BinDiag struct {
 	// is the prior itself, rebalanced by IPF toward the (intact)
 	// measured marginals.
 	PriorFallback bool `json:"prior_fallback,omitempty"`
-	// WarmStarted marks a bin whose LSQR solve was warm-started from a
-	// previous bin's converged correction (WithWarmStart blocked
-	// path; always false on the default cold path and on masked or
-	// weighted bins). Local-only like LSQRIterations: the
-	// series layer aggregates it into RunStats.WarmStartedBins, keeping
-	// response bytes stable.
-	WarmStarted bool `json:"-"`
 }
 
 // BinResult is the outcome of estimating a single time bin.
@@ -162,13 +140,6 @@ type RunStats struct {
 	// iterations-to-converge: prior-fallback bins run no solve and
 	// contribute 0, so divide by Bins − PriorFallbacks instead.
 	LSQRIterationsTotal int
-	// WarmStartedBins counts bins whose solve was warm-started from a
-	// previous bin's converged correction (BinDiag.WarmStarted) — only
-	// ever non-zero under WithWarmStart. Together with
-	// LSQRIterationsTotal it quantifies what warm-starting saved: the
-	// same series estimated cold shows the difference in total
-	// iterations.
-	WarmStartedBins int
 	// DegradedBins counts bins estimated from incomplete telemetry
 	// (BinDiag.Degraded); LinksDroppedTotal sums the link equations
 	// dropped across all bins.
@@ -227,8 +198,8 @@ func validateObservation(y []float64, rows, links int) (keep []bool, dropped int
 // prepareBin runs the pre-projection stage of one bin: observation
 // validation (mask derivation), marginal extraction and prior synthesis.
 // ing and eg alias y, so they stay valid exactly as long as the caller
-// keeps the observation alive. Shared by EstimateBin and the warm
-// chunked path, so the two cannot drift in validation or error text.
+// keeps the observation alive. Shared by EstimateBin and the grouped
+// paths, so they cannot drift in validation or error text.
 func prepareBin(s *Solver, prior Prior, t int, y []float64) (keep []bool, dropped int, ing, eg []float64, p *tm.TrafficMatrix, err error) {
 	keep, dropped, err = validateObservation(y, s.rm.Rows(), s.rm.L)
 	if err != nil {

@@ -173,33 +173,23 @@ func TestStallWireFlags(t *testing.T) {
 	}
 }
 
-// TestWarmBlockedStallMatchesCold: the blocked warm path settles a
+// TestSeriesStallMatchesProject: EstimateSeries' blocked chunks settle a
 // stalled bin by the same policy as Project. With a one-iteration
-// budget every bin of both series is counted stalled after one
-// iteration; every bin of the cold series is Project's kept iterate
-// (clamped and rebalanced), and so is every bin of a warm block that
-// starts cold — the first block of each chunk.
-func TestWarmBlockedStallMatchesCold(t *testing.T) {
-	rm, truth := warmFixture(t, 20)
-	run := func(warm bool) (*Estimator, *SeriesResult) {
-		est, err := NewEstimator(rm, WithWarmStart(warm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		est.solver.maxIter = 1
-		r, err := est.EstimateSeries(truth, GravityPrior{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Stats.ProjectStalls != truth.Len() || r.Stats.LSQRIterationsTotal != truth.Len() {
-			t.Fatalf("warm=%v stats %+v, want every one of %d bins stalled after 1 iteration", warm, r.Stats, truth.Len())
-		}
-		return est, r
+// budget every bin is counted stalled after one iteration, and every
+// bin is Project's kept iterate (clamped and rebalanced), bit for bit.
+func TestSeriesStallMatchesProject(t *testing.T) {
+	rm, truth := seriesFixture(t, 20)
+	est, err := NewEstimator(rm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	est, cold := run(false)
-	_, warm := run(true)
-	if warm.Stats.WarmStartedBins == 0 {
-		t.Fatal("no bin took the blocked warm path")
+	est.solver.maxIter = 1
+	r, err := est.EstimateSeries(truth, GravityPrior{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.ProjectStalls != truth.Len() || r.Stats.LSQRIterationsTotal != truth.Len() {
+		t.Fatalf("stats %+v, want every one of %d bins stalled after 1 iteration", r.Stats, truth.Len())
 	}
 	s := est.solver
 	for b := 0; b < truth.Len(); b++ {
@@ -219,10 +209,7 @@ func TestWarmBlockedStallMatchesCold(t *testing.T) {
 		if err := finishBin(s, want, ing, eg, est.opts, &BinDiag{}); err != nil {
 			t.Fatal(err)
 		}
-		requireBitwise(t, cold.Estimates.At(b), want, fmt.Sprintf("cold bin %d", b))
-		if b%warmChunkBins < warmBlockK {
-			requireBitwise(t, warm.Estimates.At(b), want, fmt.Sprintf("warm bin %d (cold-started block)", b))
-		}
+		requireBitwise(t, r.Estimates.At(b), want, fmt.Sprintf("bin %d", b))
 	}
 }
 

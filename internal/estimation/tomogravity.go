@@ -50,8 +50,8 @@ type Solver struct {
 
 // solveScratch is the reusable working storage of one in-flight solve:
 // the projection's residual and weights, the LSQR work areas (single-RHS
-// and blocked), a blocked solve's per-lane buffers and warm start, and
-// the IPF marginal buffers. Pooled on the Solver; not safe for
+// and blocked), a blocked solve's per-lane buffers, and the IPF
+// marginal buffers. Pooled on the Solver; not safe for
 // concurrent use — each solve checks one out for its duration.
 type solveScratch struct {
 	res      []float64 // rows-sized: the measurement residual
@@ -61,7 +61,6 @@ type solveScratch struct {
 	blockRes [][]float64         // per lane, rows-sized: blocked residuals
 	blockDst [][]float64         // per lane, n²-sized: blocked corrections
 	reps     []linalg.LSQRReport // per lane: a lane-by-lane block's reports
-	x0       []float64           // n²-sized: the warm chain's start
 	ing, eg  []float64           // n-sized: IPF marginal accumulators
 }
 

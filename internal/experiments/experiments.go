@@ -31,9 +31,9 @@ var ErrConfig = errors.New("experiments: invalid config")
 type Config struct {
 	Scale float64
 	// Workers bounds how many figures RunAll regenerates concurrently
-	// and is forwarded to the estimation pipeline's per-bin fan-out:
+	// and is forwarded to the estimation pipeline's per-chunk fan-out:
 	// 0 selects GOMAXPROCS, 1 the plain sequential loop. The bound
-	// applies per fan-out level (up to Workers figures × Workers bins
+	// applies per fan-out level (up to Workers figures × Workers chunks
 	// in flight; Go multiplexes them over GOMAXPROCS OS threads).
 	// Every figure is deterministic from the scenario seeds, so results
 	// are identical for any value.
@@ -175,7 +175,7 @@ func (w *World) Routing(d *synth.Dataset) (*routing.Matrix, error) {
 
 // Estimator returns a cached estimation session for a scenario, shared
 // by every estimation figure: one tomogravity solver per topology, with
-// the world's worker bound forwarded to the per-bin fan-out.
+// the world's worker bound forwarded to the per-chunk fan-out.
 func (w *World) Estimator(d *synth.Dataset) (*estimation.Estimator, error) {
 	return w.estimators.Get(d.Scenario.Name, func() (*estimation.Estimator, error) {
 		rm, err := w.Routing(d)

@@ -80,22 +80,6 @@ type LSQROptions struct {
 	// generous budget for the well-conditioned routing systems this
 	// repository solves (they converge in a few dozen iterations).
 	MaxIter int
-	// X0 warm-starts the solve from a caller-supplied iterate: LSQR
-	// iterates on the residual system A·z = b − A·x0 and returns
-	// x = x0 + z, so a good x0 (the previous bin's converged correction
-	// on a slowly-varying series) skips the iterations a cold start
-	// spends rediscovering it. Report semantics are unchanged — the
-	// stopping tests and ResidualNorm measure the residual of the
-	// ORIGINAL system b − A·x, and ‖b − A·x0‖ = 0 exits immediately with
-	// x = x0 and zero iterations. A nil X0 (and an all-zero X0) is the
-	// cold start, bit-identical to the pre-warm-start solver.
-	//
-	// With a nonzero x0 the returned solution is x0 + min-norm(residual
-	// system) rather than the minimum-norm solution of the original
-	// system; for the consistent routing systems of this repository the
-	// two coincide whenever x0 itself lies in range(Aᵀ) — which a
-	// previous LSQR solution always does.
-	X0 []float64
 	// Work, when non-nil, supplies the solve's working vectors so
 	// steady-state callers allocate nothing per solve. The returned
 	// solution aliases Work's solution buffer and is valid only until
@@ -164,16 +148,12 @@ type LSQRReport struct {
 // reported through Report.Converged so callers can decide whether an
 // almost-converged solution is usable.
 //
-// Options.X0 warm-starts the solve and Options.Work makes it
-// allocation-free; see their field docs. When Work is supplied, the
-// returned slice aliases Work's solution buffer.
+// Options.Work makes the solve allocation-free; the returned slice
+// then aliases Work's solution buffer.
 func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 	m, n := a.Rows(), a.Cols()
 	if len(b) != m {
 		return nil, LSQRReport{}, fmt.Errorf("%w: LSQR A %dx%d with b of %d", ErrShape, m, n, len(b))
-	}
-	if opts.X0 != nil && len(opts.X0) != n {
-		return nil, LSQRReport{}, fmt.Errorf("%w: LSQR A %dx%d with x0 of %d", ErrShape, m, n, len(opts.X0))
 	}
 	atol, btol := opts.ATol, opts.BTol
 	if atol <= 0 {
@@ -193,44 +173,15 @@ func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 		wk = &LSQRWork{}
 	}
 	x, u, v, w, tmpu, tmpv := wk.vectors(m, n)
-	var bnorm float64
-	if opts.X0 != nil {
-		// Warm start: iterate on the residual system A·z = b − A·x0 with
-		// x seeded at x0, so the updates below accumulate x = x0 + z. The
-		// stopping tests keep measuring against the ORIGINAL system —
-		// bnorm is ‖b‖, and the rnorm recurrence estimates
-		// ‖(b − A·x0) − A·z‖ = ‖b − A·x‖ — so a warm solve stops at
-		// exactly the tolerance a cold solve targets, just from a closer
-		// starting point. An all-zero x0 reproduces the cold path bit for
-		// bit (b − A·0 leaves every finite entry unchanged).
-		copy(x, opts.X0)
-		a.MulVecTo(tmpu, x)
-		for i := range u {
-			u[i] = b[i] - tmpu[i]
-		}
-		bnorm = Norm2(b)
-	} else {
-		for i := range x {
-			x[i] = 0
-		}
-		copy(u, b)
+	for i := range x {
+		x[i] = 0
 	}
+	copy(u, b)
 	beta := Norm2(u)
-	if opts.X0 == nil {
-		bnorm = beta
-	}
+	bnorm := beta
 	rep := LSQRReport{}
 	if beta == 0 {
-		// b − A·x0 = 0 (for a cold start, b = 0): x is already an exact
-		// solution.
-		rep.Converged = true
-		return x, rep, nil
-	}
-	if opts.X0 != nil && beta <= btol*bnorm {
-		// The warm iterate already satisfies the residual tolerance of
-		// the original system: re-entering a converged solution returns
-		// in zero iterations.
-		rep.ResidualNorm = beta
+		// b = 0: x = 0 is the exact solution.
 		rep.Converged = true
 		return x, rep, nil
 	}
@@ -238,7 +189,7 @@ func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 	a.TMulVecTo(v, u)
 	alpha := Norm2(v)
 	if alpha == 0 {
-		// Aᵀ·(b − A·x) = 0: x is already least-squares optimal.
+		// Aᵀ·b = 0: x = 0 is already least-squares optimal.
 		rep.ResidualNorm = beta
 		rep.Converged = true
 		return x, rep, nil
@@ -249,9 +200,7 @@ func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 	var (
 		rhobar = alpha
 		phibar = beta
-		// Running estimates of ‖A‖_F, ‖r‖ split terms and ‖x‖ (of the
-		// iterated correction z under a warm start — conservative for
-		// the stopping test, which only uses it to loosen the threshold).
+		// Running estimates of ‖A‖_F, ‖r‖ split terms and ‖x‖.
 		anorm, xxnorm float64
 		res2, xnorm   float64
 		cs2, sn2, z   = -1.0, 0.0, 0.0

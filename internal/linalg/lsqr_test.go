@@ -132,118 +132,6 @@ func TestLSQRShapeError(t *testing.T) {
 	}
 }
 
-// TestLSQRZeroX0MatchesCold: an all-zero warm-start iterate is the cold
-// start, bit for bit — solution and report — as the X0 field doc
-// promises.
-func TestLSQRZeroX0MatchesCold(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 10; trial++ {
-		m, n := 4+r.Intn(24), 4+r.Intn(24)
-		a := SparseFromDense(randomSparseMatrix(r, m, n, 0.3))
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		cold, coldRep, err := LSQR(a, b, LSQROptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, warmRep, err := LSQR(a, b, LSQROptions{X0: make([]float64, n)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if coldRep != warmRep {
-			t.Fatalf("trial %d: reports %+v vs %+v", trial, coldRep, warmRep)
-		}
-		for j := range cold {
-			if math.Float64bits(cold[j]) != math.Float64bits(warm[j]) {
-				t.Fatalf("trial %d: zero x0 diverged at x[%d]: %g vs %g", trial, j, warm[j], cold[j])
-			}
-		}
-	}
-}
-
-// TestLSQRWarmReentryInstant: feeding a converged solution back in as X0
-// must exit before the first iteration, unchanged — the property the
-// warm-started series path leans on when consecutive bins carry nearly
-// identical corrections.
-func TestLSQRWarmReentryInstant(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{
-		{4, 1, 0},
-		{1, 3, 1},
-		{0, 1, 5},
-	})
-	b, _ := a.MulVec([]float64{1, -2, 3})
-	s := SparseFromDense(a)
-	x, rep, err := LSQR(s, b, LSQROptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Converged {
-		t.Fatal("cold solve did not converge")
-	}
-	x0 := append([]float64(nil), x...)
-	x2, rep2, err := LSQR(s, b, LSQROptions{X0: x0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep2.Converged || rep2.Iterations != 0 {
-		t.Fatalf("re-entry report %+v, want 0 iterations converged", rep2)
-	}
-	for j := range x0 {
-		if math.Float64bits(x2[j]) != math.Float64bits(x0[j]) {
-			t.Fatalf("re-entry moved x[%d]: %g vs %g", j, x2[j], x0[j])
-		}
-	}
-}
-
-// TestLSQRWarmConvergesToSameResidual: from an arbitrary (bad) starting
-// iterate the warm solve still reaches the cold solve's residual map —
-// A·x agrees — even though the solution itself may differ by a
-// null-space component (warm returns x0 + min-norm of the residual
-// system, not the min-norm solution of the original).
-func TestLSQRWarmConvergesToSameResidual(t *testing.T) {
-	r := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 10; trial++ {
-		m, n := 6+r.Intn(20), 6+r.Intn(20)
-		a := SparseFromDense(randomSparseMatrix(r, m, n, 0.3))
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = r.NormFloat64()
-		}
-		x0 := make([]float64, n)
-		for j := range x0 {
-			x0[j] = r.NormFloat64()
-		}
-		cold, _, err := LSQR(a, b, LSQROptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, rep, err := LSQR(a, b, LSQROptions{X0: x0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Converged {
-			t.Fatalf("trial %d: warm solve did not converge: %+v", trial, rep)
-		}
-		ac := make([]float64, m)
-		aw := make([]float64, m)
-		a.MulVecTo(ac, cold)
-		a.MulVecTo(aw, warm)
-		if d := relDiff(aw, ac); d > 1e-8 {
-			t.Fatalf("trial %d: residual maps differ by %g", trial, d)
-		}
-	}
-}
-
-// TestLSQRX0ShapeError: a mis-sized warm-start iterate is an ErrShape.
-func TestLSQRX0ShapeError(t *testing.T) {
-	a := SparseFromDense(NewMatrix(3, 2))
-	if _, _, err := LSQR(a, make([]float64, 3), LSQROptions{X0: make([]float64, 5)}); !errors.Is(err, ErrShape) {
-		t.Errorf("err = %v, want ErrShape", err)
-	}
-}
-
 func TestLSQRDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	a := SparseFromDense(randomSparseMatrix(r, 20, 15, 0.2))

@@ -13,11 +13,6 @@ type LSQRMultiOptions struct {
 	Damp       float64
 	ATol, BTol float64
 	MaxIter    int
-	// X0, when non-nil, warm-starts every system of the block from the
-	// same iterate (length Cols): system c iterates on the residual
-	// system A·z = b_c − A·x0 and returns x0 + z, exactly as
-	// LSQROptions.X0 does for a single solve.
-	X0 []float64
 	// Work, when non-nil, supplies all working storage so steady-state
 	// callers allocate nothing per solve. The returned report slice
 	// aliases Work; copy it to keep it across solves.
@@ -126,9 +121,6 @@ func LSQRMulti(a *Sparse, bs, dst [][]float64, opts LSQRMultiOptions) ([]LSQRRep
 			return nil, fmt.Errorf("%w: LSQRMulti A %dx%d with dst[%d] of %d", ErrShape, m, n, c, len(dst[c]))
 		}
 	}
-	if opts.X0 != nil && len(opts.X0) != n {
-		return nil, fmt.Errorf("%w: LSQRMulti A %dx%d with x0 of %d", ErrShape, m, n, len(opts.X0))
-	}
 	atol, btol := opts.ATol, opts.BTol
 	if atol <= 0 {
 		atol = 1e-13
@@ -158,57 +150,30 @@ func LSQRMulti(a *Sparse, bs, dst [][]float64, opts LSQRMultiOptions) ([]LSQRRep
 	reps := wk.reps
 	tr := a.transpose()
 
-	// Initial iterate and residual u = b − A·x0 (cold: x = 0, u = b),
-	// lane by lane in the element order of the standalone path.
-	if opts.X0 != nil {
-		for j := 0; j < n; j++ {
-			xj := opts.X0[j]
-			xs := x[j*k : j*k+k]
-			for c := range xs {
-				xs[c] = xj
-			}
-		}
-		mulGatherInitU(a, x, u, bs, k)
-		for c := range bs {
-			bnorm[c] = Norm2(bs[c])
-		}
-	} else {
-		for j := range x {
-			x[j] = 0
-		}
-		for i := 0; i < m; i++ {
-			us := u[i*k : i*k+k]
-			for c := range us {
-				us[c] = bs[c][i]
-			}
+	// Initial iterate x = 0 and residual u = b, lane by lane in the
+	// element order of the standalone path.
+	for j := range x {
+		x[j] = 0
+	}
+	for i := 0; i < m; i++ {
+		us := u[i*k : i*k+k]
+		for c := range us {
+			us[c] = bs[c][i]
 		}
 	}
 	normLanes(u, m, k, maxs, ssq, beta)
-	if opts.X0 == nil {
-		copy(bnorm, beta)
-	}
+	copy(bnorm, beta)
 
 	live := 0
 	for c := 0; c < k; c++ {
-		active[c] = true
-		switch {
-		case beta[c] == 0:
-			// b − A·x0 = 0 (for a cold start, b = 0): x is exact.
-			reps[c].Converged = true
-			snapshotLane(dst[c], x, c, k)
-			active[c] = false
-		case opts.X0 != nil && beta[c] <= btol*bnorm[c]:
-			// The warm iterate already satisfies the residual tolerance.
-			reps[c].ResidualNorm = beta[c]
-			reps[c].Converged = true
-			snapshotLane(dst[c], x, c, k)
-			active[c] = false
-		default:
-			live++
-		}
+		active[c] = beta[c] != 0
 		if active[c] {
+			live++
 			inv[c] = 1 / beta[c]
 		} else {
+			// b = 0: x = 0 is exact.
+			reps[c].Converged = true
+			snapshotLane(dst[c], x, c, k)
 			inv[c] = 1
 		}
 	}
@@ -221,7 +186,7 @@ func LSQRMulti(a *Sparse, bs, dst [][]float64, opts LSQRMultiOptions) ([]LSQRRep
 	ssqLanes(v, n, k, maxs, ssq, alpha)
 	for c := 0; c < k; c++ {
 		if active[c] && alpha[c] == 0 {
-			// Aᵀ·(b − A·x) = 0: x is already least-squares optimal.
+			// Aᵀ·b = 0: x = 0 is already least-squares optimal.
 			reps[c].ResidualNorm = beta[c]
 			reps[c].Converged = true
 			snapshotLane(dst[c], x, c, k)
@@ -479,24 +444,6 @@ func xwUpdateLanes(x, w, v []float64, inv, t1, t2 []float64) {
 			wi := ws[c]
 			xs[c] += t1[c] * wi
 			ws[c] = vi + t2[c]*wi
-		}
-	}
-}
-
-// mulGatherInitU computes u = b − A·x for the warm-start init, fusing
-// the subtraction into the row gather: lane c of row i accumulates
-// (A·x)_i in CSR nonzero order, then u[i·k+c] = bs[c][i] − acc.
-func mulGatherInitU(a *Sparse, x, u []float64, bs [][]float64, k int) {
-	for i := 0; i < a.rows; i++ {
-		row := a.colIdx[a.rowPtr[i]:a.rowPtr[i+1]]
-		vals := a.val[a.rowPtr[i]:a.rowPtr[i+1]]
-		us := u[i*k : i*k+k]
-		for c := 0; c < k; c++ {
-			var acc float64
-			for p, j := range row {
-				acc += vals[p] * x[j*k+c]
-			}
-			us[c] = bs[c][i] - acc
 		}
 	}
 }

@@ -17,7 +17,7 @@ type Result[R any] struct {
 // function, emitting one result per item on Out() in exact submission
 // order with bounded buffering. An idle worker takes a run of
 // consecutive pending items — a batch of at most maxBatch, sized by
-// batchSize — and hands it to fn in one call, so a function that
+// BatchSize — and hands it to fn in one call, so a function that
 // amortizes work across items (a blocked solve) sees several at once
 // whenever the producer runs ahead of the workers. Submit blocks once
 // workers+buffer items are submitted and not yet collected for Out() —
@@ -90,17 +90,6 @@ func NewPipeline[T, R any](workers, buffer, maxBatch int, fn func(items []T, out
 	return p
 }
 
-// batchSize is the take rule: with pending items queued, an idle worker
-// takes its share of them — ⌈pending/workers⌉, rounded up to a multiple
-// of four so a share forms a group the blocked solve accelerates — up
-// to maxBatch and never more than are pending. A lone pending item is
-// taken alone at once: no worker waits for a batch to fill.
-func (p *Pipeline[T, R]) batchSize(pending int) int {
-	share := (pending + p.workers - 1) / p.workers
-	share = (share + 3) &^ 3
-	return min(share, pending, p.maxBatch)
-}
-
 // work is one worker's loop: take a batch of consecutive pending items,
 // run fn over it, store each result at its item's ring index.
 func (p *Pipeline[T, R]) work(fn func([]T, []Result[R])) {
@@ -120,7 +109,7 @@ func (p *Pipeline[T, R]) work(fn func([]T, []Result[R])) {
 			return
 		}
 		first := p.taken
-		batch = batch[:p.batchSize(p.submitted-first)]
+		batch = batch[:BatchSize(p.submitted-first, p.workers, p.maxBatch)]
 		for i := range batch {
 			j := (first + i) % size
 			batch[i], p.items[j] = p.items[j], zero

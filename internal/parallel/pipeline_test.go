@@ -198,7 +198,7 @@ func TestPipelineBatchSize(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := NewPipeline(c.workers, 0, c.maxBatch, perItem(func(i int) (int, error) { return i, nil }))
-		if got := p.batchSize(c.pending); got != c.want {
+		if got := BatchSize(c.pending, p.workers, p.maxBatch); got != c.want {
 			t.Errorf("workers=%d maxBatch=%d pending=%d: batch %d, want %d",
 				c.workers, c.maxBatch, c.pending, got, c.want)
 		}
