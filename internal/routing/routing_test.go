@@ -215,8 +215,12 @@ func TestDisconnectedGraphFails(t *testing.T) {
 	if _, _, err := g.AddBiEdge(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(g); err == nil {
-		t.Error("disconnected graph must fail to route")
+	// Build fails at the first unroutable pair in (i, j) order; Patch
+	// promises the identical error, so the text is pinned exactly.
+	const want = "routing: pair (0,2): topology: invalid graph: 2 unreachable from 0"
+	_, err := Build(g)
+	if err == nil || err.Error() != want || !errors.Is(err, topology.ErrGraph) {
+		t.Errorf("Build on disconnected graph: err = %v, want %q wrapping ErrGraph", err, want)
 	}
 }
 

@@ -75,13 +75,28 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-// Differential test: Dijkstra agrees with Bellman-Ford on random graphs.
+// Differential test: Dijkstra agrees with Bellman-Ford on random graphs,
+// and every distance it returns is exactly the relaxation fixpoint: for
+// v != src, dist[v] is bit-equal to the minimum over in-edges (u,v) of
+// dist[u]+w (+Inf when v is unreachable). The routing digests depend on
+// these bits, so a tolerance alone would not pin them.
 func TestDijkstraMatchesBellmanFord(t *testing.T) {
+	graphs := []*Graph{}
 	for seed := uint64(0); seed < 10; seed++ {
 		g, err := RingChords(15, 8, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		graphs = append(graphs, g)
+	}
+	island := NewGraph(6) // nodes 4 and 5 unreachable from 0..3
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {4, 5}} {
+		if _, _, err := island.AddBiEdge(e[0], e[1], float64(1+e[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	graphs = append(graphs, island)
+	for gi, g := range graphs {
 		for src := 0; src < g.N(); src += 3 {
 			d1, err := g.Dijkstra(src)
 			if err != nil {
@@ -93,8 +108,23 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 			}
 			for v := range d1 {
 				if math.Abs(d1[v]-d2[v]) > 1e-9 {
-					t.Fatalf("seed %d src %d node %d: dijkstra %g vs bellman-ford %g",
-						seed, src, v, d1[v], d2[v])
+					t.Fatalf("graph %d src %d node %d: dijkstra %g vs bellman-ford %g",
+						gi, src, v, d1[v], d2[v])
+				}
+			}
+			best := make([]float64, g.N())
+			for v := range best {
+				best[v] = math.Inf(1)
+			}
+			for _, e := range g.Edges() {
+				if nd := d1[e.From] + e.Weight; nd < best[e.To] {
+					best[e.To] = nd
+				}
+			}
+			for v := range d1 {
+				if v != src && math.Float64bits(d1[v]) != math.Float64bits(best[v]) {
+					t.Fatalf("graph %d src %d node %d: dist %x, in-edge minimum %x",
+						gi, src, v, math.Float64bits(d1[v]), math.Float64bits(best[v]))
 				}
 			}
 		}
