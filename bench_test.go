@@ -453,10 +453,10 @@ func benchPatchPriors() []PriorState {
 
 // BenchmarkTopologyPatch measures the live-mutation path a single-link
 // failure costs an open estimation session: routing.Patch (2n Dijkstra
-// sweeps + touched-pair recomputation instead of 2n²) followed by
-// Estimator.Rebase (prior instances reused, nothing re-validated). The
-// PR 6 acceptance criterion requires >= 10x over
-// BenchmarkTopologyRebuild at this scale.
+// sweeps per side + fraction passes for the touched pairs only, where a
+// rebuild runs one for all n² pairs) followed by Estimator.Rebase (prior
+// instances reused, nothing re-validated). The PR 6 acceptance
+// criterion requires >= 10x over BenchmarkTopologyRebuild at this scale.
 func BenchmarkTopologyPatch(b *testing.B) {
 	g, rm, est, delta := benchPatchSetup(b)
 	b.ReportAllocs()
@@ -473,9 +473,10 @@ func BenchmarkTopologyPatch(b *testing.B) {
 }
 
 // BenchmarkTopologyRebuild measures the same mutation from scratch on
-// identical inputs: apply the delta, rebuild the full routing matrix,
-// open a fresh estimation session, and re-register the priors — the
-// only way to follow a topology change before the delta pipeline.
+// identical inputs: apply the delta, rebuild the full routing matrix
+// (2n Dijkstra sweeps + n² ECMP fraction passes), open a fresh
+// estimation session, and re-register the priors — the only way to
+// follow a topology change before the delta pipeline.
 func BenchmarkTopologyRebuild(b *testing.B) {
 	g, _, _, delta := benchPatchSetup(b)
 	b.ReportAllocs()
@@ -1033,8 +1034,9 @@ func benchWarmOpenSpec() topology.Spec { return synth.ISPLike(100).Topology() }
 
 // BenchmarkEngineColdOpen measures a replica opening a registered
 // session with nothing but the descriptor: a fresh engine pays the full
-// routing.Build (plus solver construction) before it can serve — the
-// restart cost the shared artifact store exists to avoid.
+// routing.Build (2n Dijkstra sweeps + n² ECMP fraction passes) plus
+// solver construction before it can serve — the restart cost the
+// shared artifact store exists to avoid.
 func BenchmarkEngineColdOpen(b *testing.B) {
 	spec := benchWarmOpenSpec()
 	state := estimation.PriorState{Name: "gravity"}

@@ -9,36 +9,15 @@ import (
 	"ictm/internal/topology"
 )
 
-// allDists returns the full shortest-path distance tables of g: from[u]
-// is Dijkstra from u, to[u] is Dijkstra to u (run on one shared reverse
-// graph). 2n sweeps total — the fixed cost of a patch, versus the 2n²
-// sweeps a from-scratch Build pays across its per-pair ECMPFractions
-// calls.
-func allDists(g *topology.Graph) (from, to [][]float64, err error) {
-	n := g.N()
-	from = make([][]float64, n)
-	to = make([][]float64, n)
-	rev := g.Reverse()
-	for u := 0; u < n; u++ {
-		if from[u], err = g.Dijkstra(u); err != nil {
-			return nil, nil, err
-		}
-		if to[u], err = rev.Dijkstra(u); err != nil {
-			return nil, nil, err
-		}
-	}
-	return from, to, nil
-}
-
 // Patch applies a topology delta to a built routing matrix, recomputing
 // only the OD pairs the delta touches, and returns the patched matrix
 // with the mutated graph. m must be the routing matrix of g (as built by
 // Build; all pairs routable). The result is bitwise-identical to
 // Build(g.Apply(delta)) — same CSR values, same stored order, and the
 // same error on the same first pair if the delta disconnects the
-// graph — but costs 2n Dijkstra sweeps per side plus the touched pairs'
-// fraction recomputation and an O(nnz) merge, instead of Build's 2n²
-// sweeps over every pair.
+// graph — but costs 2n Dijkstra sweeps per side, fraction passes for the
+// touched pairs only and an O(nnz) merge, where Build runs a fraction
+// pass for every one of the n² pairs.
 //
 // A pair (i,j) is recomputed when any evidence of change exists:
 //
@@ -143,9 +122,10 @@ func Patch(m *Matrix, g *topology.Graph, delta topology.Delta) (*Matrix, *topolo
 	}
 	const eps = 1e-9
 	// onPairDAG: node v lies on the eps-tolerant shortest-path DAG of
-	// (i,j) under the given distance tables.
+	// (i,j) under the given distance tables, with ECMPFractionsDist's
+	// tolerance (relative to the pair's distance, same float expression).
 	onPairDAG := func(from, to []float64, v int, total float64) bool {
-		return from[v]+to[v] <= total+eps
+		return from[v]+to[v] <= total+eps*total
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -180,7 +160,7 @@ func Patch(m *Matrix, g *topology.Graph, delta topology.Delta) (*Matrix, *topolo
 				continue
 			}
 			for _, e := range changedNew {
-				if newFrom[i][e.From]+e.Weight+newTo[j][e.To] <= newFrom[i][j]+eps {
+				if newFrom[i][e.From]+e.Weight+newTo[j][e.To] <= newFrom[i][j]+eps*newFrom[i][j] {
 					touched[col] = true
 					break
 				}

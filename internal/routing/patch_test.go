@@ -49,6 +49,18 @@ func randomDelta(rng *rand.Rand, g *topology.Graph) topology.Delta {
 	return topology.Delta{Ops: ops}
 }
 
+// scaleWeights returns g with every link weight multiplied by s.
+func scaleWeights(t *testing.T, g *topology.Graph, s float64) *topology.Graph {
+	t.Helper()
+	out := topology.NewGraph(g.N())
+	for _, e := range g.Edges() {
+		if _, err := out.AddEdge(e.From, e.To, e.Weight*s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
 // TestPatchMatchesRebuild is the load-bearing invariant of the PR:
 // arbitrary delta sequences, applied incrementally via Patch, produce a
 // routing matrix bitwise-identical to Build on the equivalently mutated
@@ -57,18 +69,23 @@ func randomDelta(rng *rand.Rand, g *topology.Graph) topology.Delta {
 // where Build does.
 func TestPatchMatchesRebuild(t *testing.T) {
 	graphs := []struct {
-		name string
-		make func() (*topology.Graph, error)
+		name  string
+		make  func() (*topology.Graph, error)
+		scale float64 // multiplies every link weight, the graph's and the deltas'
 	}{
-		{"backbone-stub-12", func() (*topology.Graph, error) { return topology.BackboneStub(12, 0, 7) }},
-		{"backbone-stub-20", func() (*topology.Graph, error) { return topology.BackboneStub(20, 5, 11) }},
-		{"waxman-14", func() (*topology.Graph, error) { return topology.Waxman(14, 0.6, 0.4, 3) }},
+		{"backbone-stub-12", func() (*topology.Graph, error) { return topology.BackboneStub(12, 0, 7) }, 1},
+		{"backbone-stub-20", func() (*topology.Graph, error) { return topology.BackboneStub(20, 5, 11) }, 1},
+		{"waxman-14", func() (*topology.Graph, error) { return topology.Waxman(14, 0.6, 0.4, 3) }, 1},
+		{"backbone-stub-12/x1e-10", func() (*topology.Graph, error) { return topology.BackboneStub(12, 0, 7) }, 1e-10},
 	}
 	for _, tc := range graphs {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := tc.make()
 			if err != nil {
 				t.Fatalf("make graph: %v", err)
+			}
+			if tc.scale != 1 {
+				g = scaleWeights(t, g, tc.scale)
 			}
 			m, err := Build(g)
 			if err != nil {
@@ -80,6 +97,9 @@ func TestPatchMatchesRebuild(t *testing.T) {
 				d := randomDelta(rng, g)
 				if len(d.Ops) == 0 {
 					continue
+				}
+				for k := range d.Ops {
+					d.Ops[k].Weight *= tc.scale
 				}
 				pm, ng, perr := Patch(m, g, d)
 

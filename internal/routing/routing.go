@@ -63,12 +63,17 @@ func FromCSR(csr *linalg.Sparse, n, l int) (*Matrix, error) {
 }
 
 // Build constructs the routing matrix for graph g under shortest-path
-// ECMP routing. The matrix is assembled directly in sparse (CSR) form:
-// O(nnz) memory and time, never touching the O((L+2n)·n²) dense layout.
+// ECMP routing: 2n Dijkstra sweeps (allDists), then one O(E + n log n)
+// ECMPFractionsDist pass per OD pair, in (i, j) order, assembled straight
+// into CSR form without touching the O((L+2n)·n²) dense layout.
 func Build(g *topology.Graph) (*Matrix, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty graph", ErrInput)
+	}
+	from, to, err := allDists(g)
+	if err != nil {
+		return nil, err
 	}
 	l := g.NumEdges()
 	entries := make([]linalg.Coord, 0, n*n*2)
@@ -76,7 +81,7 @@ func Build(g *topology.Graph) (*Matrix, error) {
 		for j := 0; j < n; j++ {
 			col := tm.PairIndex(n, i, j)
 			if i != j {
-				frac, err := g.ECMPFractions(i, j)
+				frac, err := g.ECMPFractionsDist(i, j, from[i], to[j])
 				if err != nil {
 					return nil, fmt.Errorf("routing: pair (%d,%d): %w", i, j, err)
 				}
@@ -95,6 +100,25 @@ func Build(g *topology.Graph) (*Matrix, error) {
 		return nil, fmt.Errorf("routing: assemble CSR: %w", err)
 	}
 	return &Matrix{N: n, L: l, csr: csr}, nil
+}
+
+// allDists returns the full shortest-path distance tables of g: from[u]
+// is Dijkstra from u, to[u] is Dijkstra to u (run on one shared reverse
+// graph): 2n sweeps shared by every pair of a Build or a Patch side.
+func allDists(g *topology.Graph) (from, to [][]float64, err error) {
+	n := g.N()
+	from = make([][]float64, n)
+	to = make([][]float64, n)
+	rev := g.Reverse()
+	for u := 0; u < n; u++ {
+		if from[u], err = g.Dijkstra(u); err != nil {
+			return nil, nil, err
+		}
+		if to[u], err = rev.Dijkstra(u); err != nil {
+			return nil, nil, err
+		}
+	}
+	return from, to, nil
 }
 
 // Rows returns the total number of measurement rows, L + 2n.

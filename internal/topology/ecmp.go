@@ -6,43 +6,22 @@ import (
 	"sort"
 )
 
-// ECMPFractions returns, for the OD pair (src, dst), the fraction of the
-// demand carried by each directed edge under equal-cost multipath
+// ECMPFractionsDist returns, for the OD pair (src, dst), the fraction of
+// the demand carried by each directed edge under equal-cost multipath
 // routing with per-hop even splitting: at every node on the shortest-path
 // DAG the incoming flow divides equally over the shortest-path next hops.
+//
+// distFrom must be g.Dijkstra(src), distTo g.Reverse().Dijkstra(dst):
+// routing.Build and routing.Patch route all n² pairs off 2n sweeps.
 //
 // The result maps edge ID -> fraction in (0, 1]; edges off every shortest
 // src-dst path are absent. src == dst yields an empty map (intra-PoP
 // traffic never enters the backbone). An unreachable destination is an
 // error.
-func (g *Graph) ECMPFractions(src, dst int) (map[int]float64, error) {
-	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
-		return nil, fmt.Errorf("%w: pair (%d,%d) outside [0,%d)", ErrGraph, src, dst, g.n)
-	}
-	if src == dst {
-		return map[int]float64{}, nil
-	}
-	distFrom, err := g.Dijkstra(src)
-	if err != nil {
-		return nil, err
-	}
-	if math.IsInf(distFrom[dst], 1) {
-		return nil, fmt.Errorf("%w: %d unreachable from %d", ErrGraph, dst, src)
-	}
-	distTo, err := g.Reverse().Dijkstra(dst)
-	if err != nil {
-		return nil, err
-	}
-	return g.ECMPFractionsDist(src, dst, distFrom, distTo)
-}
-
-// ECMPFractionsDist is ECMPFractions with caller-supplied shortest-path
-// distances: distFrom must be g.Dijkstra(src) and distTo
-// g.Reverse().Dijkstra(dst). It is the incremental mode of the path-set
-// computation, built for routing.Patch: after a topology delta, the
-// patcher recomputes fractions for the touched OD pairs off 2n shared
-// Dijkstra sweeps instead of paying two sweeps per pair. Results are
-// bit-identical to ECMPFractions, which delegates here.
+//
+// Path costs compare with a tolerance relative to the pair's distance:
+// an absolute one admits detours and backward edges into the DAG once
+// link weights approach it.
 func (g *Graph) ECMPFractionsDist(src, dst int, distFrom, distTo []float64) (map[int]float64, error) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return nil, fmt.Errorf("%w: pair (%d,%d) outside [0,%d)", ErrGraph, src, dst, g.n)
@@ -56,13 +35,13 @@ func (g *Graph) ECMPFractionsDist(src, dst int, distFrom, distTo []float64) (map
 	if math.IsInf(distFrom[dst], 1) {
 		return nil, fmt.Errorf("%w: %d unreachable from %d", ErrGraph, dst, src)
 	}
-	total := distFrom[dst]
 	const eps = 1e-9
+	bound := distFrom[dst] + eps*distFrom[dst]
 
 	// An edge (u,v) lies on a shortest src->dst path iff
 	// dist(src,u) + w + dist(v,dst) == dist(src,dst).
 	onDAG := func(e Edge) bool {
-		return distFrom[e.From]+e.Weight+distTo[e.To] <= total+eps
+		return distFrom[e.From]+e.Weight+distTo[e.To] <= bound
 	}
 
 	// Next-hop counts per node (out-degree within the DAG).
@@ -128,8 +107,8 @@ func (g *Graph) PathCount(src, dst int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	total := distFrom[dst]
 	const eps = 1e-9
+	bound := distFrom[dst] + eps*distFrom[dst]
 
 	order := make([]int, 0, g.n)
 	for u := 0; u < g.n; u++ {
@@ -147,7 +126,7 @@ func (g *Graph) PathCount(src, dst int) (int, error) {
 		}
 		for _, eid := range g.adj[u] {
 			e := g.edges[eid]
-			if distFrom[e.From]+e.Weight+distTo[e.To] <= total+eps {
+			if distFrom[e.From]+e.Weight+distTo[e.To] <= bound {
 				count[e.To] += count[u]
 			}
 		}

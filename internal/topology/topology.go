@@ -6,7 +6,6 @@
 package topology
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -130,22 +129,12 @@ type pqItem struct {
 	dist float64
 }
 
-type pq []pqItem
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	item := old[n-1]
-	*q = old[:n-1]
-	return item
-}
-
 // Dijkstra returns the shortest distances from src to every node
 // (math.Inf(1) for unreachable nodes).
+//
+// The queue is a typed binary min-heap, allocated once. Each final
+// dist[v] is the minimum over in-edges of dist[u]+w with every dist[u]
+// final, so the pop order of equal keys cannot change a value.
 func (g *Graph) Dijkstra(src int) ([]float64, error) {
 	if src < 0 || src >= g.n {
 		return nil, fmt.Errorf("%w: source %d outside [0,%d)", ErrGraph, src, g.n)
@@ -156,23 +145,49 @@ func (g *Graph) Dijkstra(src int) ([]float64, error) {
 	}
 	dist[src] = 0
 	done := make([]bool, g.n)
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		item := heap.Pop(q).(pqItem)
-		u := item.node
+	q := append(make([]pqItem, 0, len(g.edges)+1), pqItem{node: src})
+	for len(q) > 0 {
+		u := q[0].node
+		q = popMin(q)
 		if done[u] {
 			continue
 		}
 		done[u] = true
 		for _, eid := range g.adj[u] {
-			e := g.edges[eid]
+			e := &g.edges[eid]
 			if nd := dist[u] + e.Weight; nd < dist[e.To] {
 				dist[e.To] = nd
-				heap.Push(q, pqItem{node: e.To, dist: nd})
+				q = pushMin(q, pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
 	return dist, nil
+}
+
+// pushMin appends it to the binary min-heap q and sifts it up.
+func pushMin(q []pqItem, it pqItem) []pqItem {
+	q = append(q, it)
+	for i := len(q) - 1; i > 0 && q[(i-1)/2].dist > q[i].dist; i = (i - 1) / 2 {
+		q[(i-1)/2], q[i] = q[i], q[(i-1)/2]
+	}
+	return q
+}
+
+// popMin removes the root of the binary min-heap q.
+func popMin(q []pqItem) []pqItem {
+	last := len(q) - 1
+	q[0] = q[last]
+	q = q[:last]
+	for i, m := 0, 1; m < last; i, m = m, 2*m+1 {
+		if m+1 < last && q[m+1].dist < q[m].dist {
+			m++
+		}
+		if q[i].dist <= q[m].dist {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+	}
+	return q
 }
 
 // BellmanFord returns shortest distances from src, used as a slow oracle

@@ -238,7 +238,7 @@ func TestDegreeSequence(t *testing.T) {
 
 func TestECMPDiamondSplitsEvenly(t *testing.T) {
 	g := diamond(t)
-	frac, err := g.ECMPFractions(0, 3)
+	frac, err := ecmpFractions(g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,20 +262,44 @@ func TestECMPDiamondSplitsEvenly(t *testing.T) {
 	}
 }
 
+// tinyRing is a 4-ring with a 0-2 chord of cost 3w, every link
+// weight a multiple of w. At w near the ECMP tolerance an absolute
+// comparison admits detours and backward edges into the DAG.
+func tinyRing(t *testing.T, w float64) *Graph {
+	t.Helper()
+	g := NewGraph(4)
+	for _, e := range []struct {
+		a, b int
+		w    float64
+	}{{0, 1, w}, {1, 2, w}, {2, 3, w}, {3, 0, w}, {0, 2, 3 * w}} {
+		if _, _, err := g.AddBiEdge(e.a, e.b, e.w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
 // Flow conservation property of ECMP fractions: net outflow is +1 at the
-// source, -1 at the destination, 0 elsewhere.
+// source, -1 at the destination, 0 elsewhere — at any weight scale.
 func TestECMPFlowConservation(t *testing.T) {
+	var graphs []*Graph
 	for seed := uint64(0); seed < 5; seed++ {
 		g, err := Waxman(18, 0.6, 0.4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for src := 0; src < g.N(); src += 5 {
-			for dst := 0; dst < g.N(); dst += 3 {
+		graphs = append(graphs, g)
+	}
+	for _, w := range []float64{1e-10, 1e-12, 1e-200} {
+		graphs = append(graphs, tinyRing(t, w))
+	}
+	for gi, g := range graphs {
+		for src := 0; src < g.N(); src++ {
+			for dst := 0; dst < g.N(); dst++ {
 				if src == dst {
 					continue
 				}
-				frac, err := g.ECMPFractions(src, dst)
+				frac, err := ecmpFractions(g, src, dst)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -296,8 +320,8 @@ func TestECMPFlowConservation(t *testing.T) {
 						want = -1
 					}
 					if math.Abs(net[u]-want) > 1e-9 {
-						t.Fatalf("seed %d pair (%d,%d): net flow at %d = %g, want %g",
-							seed, src, dst, u, net[u], want)
+						t.Fatalf("graph %d pair (%d,%d): net flow at %d = %g, want %g",
+							gi, src, dst, u, net[u], want)
 					}
 				}
 			}
@@ -307,7 +331,7 @@ func TestECMPFlowConservation(t *testing.T) {
 
 func TestECMPSelfPairEmpty(t *testing.T) {
 	g := diamond(t)
-	frac, err := g.ECMPFractions(2, 2)
+	frac, err := ecmpFractions(g, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +343,7 @@ func TestECMPSelfPairEmpty(t *testing.T) {
 func TestECMPUnreachable(t *testing.T) {
 	g := NewGraph(3)
 	_, _ = g.AddEdge(0, 1, 1)
-	if _, err := g.ECMPFractions(0, 2); !errors.Is(err, ErrGraph) {
+	if _, err := ecmpFractions(g, 0, 2); !errors.Is(err, ErrGraph) {
 		t.Error("unreachable destination must fail")
 	}
 }
