@@ -27,6 +27,17 @@ var buildDigests = map[string]string{
 	"unit-ring-chords-24": "14bb6a5004554d2bde0c6c7e4807bb36ec93425a19d1644f024979a797799e47",
 }
 
+// withWeights returns a copy of g with every link weight w set to f(w).
+func withWeights(g *topology.Graph, f func(w float64) float64) (*topology.Graph, error) {
+	out := topology.NewGraph(g.N())
+	for _, e := range g.Edges() {
+		if _, err := out.AddEdge(e.From, e.To, f(e.Weight)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 // unitRingChords is RingChords(n, chords, seed) with every weight set to
 // 1, so equal-cost ties are common and the digest covers ECMP splits.
 func unitRingChords(n, chords int, seed uint64) (*topology.Graph, error) {
@@ -34,13 +45,7 @@ func unitRingChords(n, chords int, seed uint64) (*topology.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := topology.NewGraph(n)
-	for _, e := range g.Edges() {
-		if _, err := u.AddEdge(e.From, e.To, 1); err != nil {
-			return nil, err
-		}
-	}
-	return u, nil
+	return withWeights(g, func(float64) float64 { return 1 })
 }
 
 func TestBuildDigestsPinned(t *testing.T) {
@@ -50,16 +55,17 @@ func TestBuildDigestsPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		make func() (*topology.Graph, error)
-		long bool
+		long bool // skipped in -short
+		ties bool // must contain an ECMP split (a link entry below 1)
 	}{
-		{"geant-like", scenario(synth.GeantLike()), false},
-		{"isp-40", scenario(synth.ISPLike(40)), false},
-		{"isp-100", scenario(synth.ISPLike(100)), false},
-		{"isp-200", scenario(synth.ISPLike(200)), true},
-		{"waxman-30/seed=1", func() (*topology.Graph, error) { return topology.Waxman(30, 0.6, 0.4, 1) }, false},
-		{"waxman-30/seed=2", func() (*topology.Graph, error) { return topology.Waxman(30, 0.6, 0.4, 2) }, false},
-		{"waxman-30/seed=3", func() (*topology.Graph, error) { return topology.Waxman(30, 0.6, 0.4, 3) }, false},
-		{"unit-ring-chords-24", func() (*topology.Graph, error) { return unitRingChords(24, 8, 5) }, false},
+		{"geant-like", scenario(synth.GeantLike()), false, false},
+		{"isp-40", scenario(synth.ISPLike(40)), false, false},
+		{"isp-100", scenario(synth.ISPLike(100)), false, false},
+		{"isp-200", scenario(synth.ISPLike(200)), true, false},
+		{"waxman-30/seed=1", func() (*topology.Graph, error) { return topology.Waxman(30, 0.6, 0.4, 1) }, false, false},
+		{"waxman-30/seed=2", func() (*topology.Graph, error) { return topology.Waxman(30, 0.6, 0.4, 2) }, false, false},
+		{"waxman-30/seed=3", func() (*topology.Graph, error) { return topology.Waxman(30, 0.6, 0.4, 3) }, false, false},
+		{"unit-ring-chords-24", func() (*topology.Graph, error) { return unitRingChords(24, 8, 5) }, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,6 +80,9 @@ func TestBuildDigestsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
+			if tc.ties && !hasSplit(m) {
+				t.Fatal("no OD pair splits over equal-cost paths")
+			}
 			sum := sha256.Sum256(m.AppendBinary(nil))
 			got := hex.EncodeToString(sum[:])
 			if want, ok := buildDigests[tc.name]; !ok || got != want {
@@ -83,26 +92,16 @@ func TestBuildDigestsPinned(t *testing.T) {
 	}
 }
 
-// The unit-weight ring must actually exercise ECMP: some pair has more
-// than one shortest path, so its digest covers fractional splits.
-func TestUnitRingChordsHasTies(t *testing.T) {
-	g, err := unitRingChords(24, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ties := 0
-	for i := 0; i < g.N(); i++ {
-		for j := 0; j < g.N(); j++ {
-			c, err := g.PathCount(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c > 1 {
-				ties++
+// hasSplit reports whether some link row of m carries a fraction below
+// 1, i.e. some OD pair splits over equal-cost paths.
+func hasSplit(m *Matrix) bool {
+	for r := 0; r < m.L; r++ {
+		_, vals := m.CSR().RowEntries(r)
+		for _, v := range vals {
+			if v < 1 {
+				return true
 			}
 		}
 	}
-	if ties == 0 {
-		t.Fatal("no pair with equal-cost paths")
-	}
+	return false
 }

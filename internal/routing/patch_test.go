@@ -49,18 +49,6 @@ func randomDelta(rng *rand.Rand, g *topology.Graph) topology.Delta {
 	return topology.Delta{Ops: ops}
 }
 
-// scaleWeights returns g with every link weight multiplied by s.
-func scaleWeights(t *testing.T, g *topology.Graph, s float64) *topology.Graph {
-	t.Helper()
-	out := topology.NewGraph(g.N())
-	for _, e := range g.Edges() {
-		if _, err := out.AddEdge(e.From, e.To, e.Weight*s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
 // TestPatchMatchesRebuild is the load-bearing invariant of the PR:
 // arbitrary delta sequences, applied incrementally via Patch, produce a
 // routing matrix bitwise-identical to Build on the equivalently mutated
@@ -84,8 +72,8 @@ func TestPatchMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("make graph: %v", err)
 			}
-			if tc.scale != 1 {
-				g = scaleWeights(t, g, tc.scale)
+			if g, err = withWeights(g, func(w float64) float64 { return w * tc.scale }); err != nil {
+				t.Fatalf("scale weights: %v", err)
 			}
 			m, err := Build(g)
 			if err != nil {
