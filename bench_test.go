@@ -455,8 +455,9 @@ func benchPatchPriors() []PriorState {
 // failure costs an open estimation session: routing.Patch (2n Dijkstra
 // sweeps per side + fraction passes for the touched pairs only, where a
 // rebuild runs one for all n² pairs) followed by Estimator.Rebase (prior
-// instances reused, nothing re-validated). The PR 6 acceptance
-// criterion requires >= 10x over BenchmarkTopologyRebuild at this scale.
+// instances reused, nothing re-validated). The incremental-patch
+// acceptance criterion requires >= 10x over BenchmarkTopologyRebuild at
+// this scale.
 func BenchmarkTopologyPatch(b *testing.B) {
 	g, rm, est, delta := benchPatchSetup(b)
 	b.ReportAllocs()
