@@ -1,14 +1,19 @@
 // Command iclint runs the repository's contract analyzers — the
-// determinism, ordered-output, error-discipline and concurrency
-// checks in internal/analysis — over a set of Go packages and reports
-// every violation. It is a hard CI gate: a non-empty report exits 1.
+// determinism, ordered-output, error-discipline, concurrency and
+// dead-export checks in internal/analysis — over a set of Go packages
+// and reports every violation. It is a hard CI gate: a non-empty
+// report exits 1.
 //
 // Usage:
 //
 //	iclint [-C dir] [-analyzers a,b] [-list] [packages]
 //
-// Packages default to ./... resolved in -C dir (default "."). The
-// driver is standard-library only: package discovery runs through
+// Packages default to ./... resolved in -C dir (default "."), and
+// -analyzers may name any subset of the registry. Findings are reported
+// only in the matched packages, but deadexport counts callers across
+// the whole module holding them and the modules nested in it (icbench),
+// so a one-package run sees the same callers as ./... . The driver is
+// standard-library only: package discovery runs through
 // `go list -export`, loading through go/parser and go/types, so the
 // module's zero-dependency go.mod stays zero-dependency.
 //

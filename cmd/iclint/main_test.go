@@ -24,7 +24,7 @@ const corpus = "../../internal/analysis/testdata/lintmod"
 // the fixture corpus and pins the exact diagnostics byte for byte:
 // every analyzer must report each of its seeded violations, in
 // deterministic order, and nothing else. This is the proof behind the
-// acceptance criterion that a seeded-violation fixture trips all five
+// acceptance criterion that a seeded-violation fixture trips all six
 // analyzers.
 func TestGoldenCorpus(t *testing.T) {
 	var out, errBuf bytes.Buffer
@@ -49,7 +49,7 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	// Each analyzer (and the driver's directive validation) must
 	// contribute at least one line, or the golden has gone vacuous.
-	for _, name := range []string{"detsource", "maporder", "errsentinel", "atomicfield", "poolscope", "iclint"} {
+	for _, name := range []string{"detsource", "maporder", "errsentinel", "atomicfield", "poolscope", "deadexport", "iclint"} {
 		if !strings.Contains(out.String(), "["+name+"] ") {
 			t.Errorf("golden run has no findings from %q", name)
 		}
@@ -104,7 +104,7 @@ func TestList(t *testing.T) {
 	if code := run(&out, &errBuf, []string{"-list"}); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"detsource", "maporder", "errsentinel", "atomicfield", "poolscope"} {
+	for _, name := range []string{"detsource", "maporder", "errsentinel", "atomicfield", "poolscope", "deadexport"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -124,5 +124,21 @@ func TestCleanTree(t *testing.T) {
 	code := run(&out, &errBuf, []string{"-C", "../..", "./..."})
 	if code != 0 {
 		t.Fatalf("iclint over the repository exited %d:\n%s%s", code, out.String(), errBuf.String())
+	}
+}
+
+// TestDeadexportSeesWholeModule pins deadexport's reference set: it is
+// built over the whole module (and the modules nested in it) whatever
+// pattern is linted, so linting one package alone must not report the
+// exports its callers in other packages use. Collecting references only
+// over the linted pattern would flag most of linalg here.
+func TestDeadexportSeesWholeModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped in -short")
+	}
+	var out, errBuf bytes.Buffer
+	code := run(&out, &errBuf, []string{"-C", "../..", "-analyzers", "deadexport", "./internal/linalg"})
+	if code != 0 {
+		t.Fatalf("iclint -analyzers deadexport ./internal/linalg exited %d:\n%s%s", code, out.String(), errBuf.String())
 	}
 }

@@ -11,7 +11,10 @@
 //     (errsentinel);
 //   - concurrency: a field touched via sync/atomic anywhere is touched
 //     that way everywhere (atomicfield), and sync.Pool scratch never
-//     outlives the call that checked it out (poolscope).
+//     outlives the call that checked it out (poolscope);
+//   - no dead API: every export of an internal/ package has a non-test
+//     caller somewhere in the module or its nested modules
+//     (deadexport).
 //
 // The driver deliberately depends only on the standard library
 // (go/parser + go/types over `go list -export` metadata), so the
@@ -52,6 +55,7 @@ var Analyzers = []*Analyzer{
 	Errsentinel,
 	Atomicfield,
 	Poolscope,
+	Deadexport,
 }
 
 // AnalyzerNames returns the registry names in run order.
@@ -81,6 +85,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
+	refs  *refSet
 	diags *[]Diagnostic
 }
 
@@ -131,6 +136,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			refs:     pkg.refs,
 			diags:    &diags,
 		}
 		a.Run(pass)

@@ -1,11 +1,19 @@
 package analysis
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"go/token"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -76,6 +84,7 @@ func TestCorpus(t *testing.T) {
 		{"lintmod/errsentinel", "lintmod/errsentinel", []*Analyzer{Errsentinel}},
 		{"lintmod/atomicfield", "lintmod/atomicfield", []*Analyzer{Atomicfield}},
 		{"lintmod/poolscope", "lintmod/poolscope", []*Analyzer{Poolscope}},
+		{"lintmod/internal/deadexport", "lintmod/internal/deadexport", []*Analyzer{Deadexport}},
 		// The fully-annotated package must be silent under the whole
 		// suite (it has no want comments at all).
 		{"lintmod/suppressed", "lintmod/suppressed", Analyzers},
@@ -83,7 +92,7 @@ func TestCorpus(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.dir, "/", "_"), func(t *testing.T) {
 			dir := filepath.Join("testdata", tc.dir)
-			pkg, err := LoadDir(dir, tc.importPath, ".")
+			pkg, err := loadDir(dir, tc.importPath, ".")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +134,7 @@ func TestCorpus(t *testing.T) {
 // //iclint:ignore comments: missing analyzer, unknown analyzer and
 // missing reason each produce an iclint diagnostic at the directive.
 func TestDirectiveValidation(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "lintmod", "badignore"), "lintmod/badignore", ".")
+	pkg, err := loadDir(filepath.Join("testdata", "lintmod", "badignore"), "lintmod/badignore", ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,4 +212,101 @@ func format(diags []Diagnostic) string {
 		fmt.Fprintln(&b, d)
 	}
 	return b.String()
+}
+
+// loadDir loads the non-test Go files of one directory (a fixture
+// package that go list need not know) as a single package with the
+// given import path. Imports are resolved by asking the go command for their
+// export data, so fixtures may import anything the standard library
+// offers. listDir is where `go list` runs (any directory inside a
+// module with a toolchain works); the import path is taken at face
+// value, which lets a fixture pose as e.g. "lintmod/internal/synth" so
+// path-scoped analyzers fire on it. deadexport collects references
+// over the nearest enclosing module.
+func loadDir(dir, importPath, listDir string) (*Package, error) {
+	all, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, name := range all {
+		if !strings.HasSuffix(name, "_test.go") {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no Go files in %s", dir)
+	}
+
+	fset := token.NewFileSet()
+	var files []*ast.File
+	imports := make(map[string]bool)
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		for _, imp := range f.Imports {
+			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
+				imports[p] = true
+			}
+		}
+	}
+
+	exports := make(map[string]string)
+	if len(imports) > 0 {
+		var paths []string
+		for p := range imports {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		args := append([]string{
+			"list", "-export", "-deps",
+			"-json=ImportPath,Export",
+			"--",
+		}, paths...)
+		cmd := exec.Command("go", args...)
+		cmd.Dir = listDir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list %v: %v\n%s", paths, err, stderr.String())
+		}
+		dec := json.NewDecoder(bytes.NewReader(out))
+		for {
+			var m pkgMeta
+			if err := dec.Decode(&m); err == io.EOF {
+				break
+			} else if err != nil {
+				return nil, fmt.Errorf("go list: decoding output: %v", err)
+			}
+			if m.Export != "" {
+				exports[m.ImportPath] = m.Export
+			}
+		}
+	}
+
+	pkg, err := typeCheckParsed(fset, importPath, dir, files, exports, nil)
+	if err != nil {
+		return nil, err
+	}
+	root, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		parent := filepath.Dir(root)
+		if parent == root {
+			return nil, fmt.Errorf("no go.mod above %s", dir)
+		}
+		root = parent
+	}
+	pkg.refs = &refSet{root: root}
+	return pkg, nil
 }

@@ -15,7 +15,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 )
 
 // A Package is one fully loaded, type-checked analysis target.
@@ -26,6 +25,8 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+
+	refs *refSet // the enclosing module tree's references, shared by one Load
 }
 
 // pkgMeta is the subset of `go list -json` output the loader consumes.
@@ -37,6 +38,7 @@ type pkgMeta struct {
 	DepOnly    bool
 	GoFiles    []string
 	ImportMap  map[string]string
+	Module     *struct{ Dir string }
 }
 
 // Load discovers the packages matching patterns with
@@ -48,7 +50,7 @@ type pkgMeta struct {
 func Load(dir string, patterns []string) ([]*Package, error) {
 	args := append([]string{
 		"list", "-export", "-deps",
-		"-json=ImportPath,Export,Standard,Dir,GoFiles,DepOnly,ImportMap",
+		"-json=ImportPath,Export,Standard,Dir,GoFiles,DepOnly,ImportMap,Module",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -80,6 +82,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
 	fset := token.NewFileSet()
+	refs := &refSet{root: dir}
+	if len(targets) > 0 && targets[0].Module != nil {
+		refs.root = targets[0].Module.Dir
+	}
 	var pkgs []*Package
 	for _, t := range targets {
 		var files []string
@@ -90,80 +96,10 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkg.refs = refs
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// LoadDir loads a loose directory of Go files (a fixture package that
-// need not live under any go.mod) as a single package with the given
-// import path. Imports are resolved by asking the go command for their
-// export data, so fixtures may import anything the standard library
-// offers. listDir is where `go list` runs (any directory inside a
-// module with a toolchain works); the import path is taken at face
-// value, which lets a fixture pose as e.g. "lintmod/internal/synth" so
-// path-scoped analyzers fire on it.
-func LoadDir(dir, importPath, listDir string) (*Package, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	imports := make(map[string]bool)
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			if p, err := strconv.Unquote(imp.Path.Value); err == nil {
-				imports[p] = true
-			}
-		}
-	}
-
-	exports := make(map[string]string)
-	if len(imports) > 0 {
-		var paths []string
-		for p := range imports {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		args := append([]string{
-			"list", "-export", "-deps",
-			"-json=ImportPath,Export",
-			"--",
-		}, paths...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = listDir
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list %v: %v\n%s", paths, err, stderr.String())
-		}
-		dec := json.NewDecoder(bytes.NewReader(out))
-		for {
-			var m pkgMeta
-			if err := dec.Decode(&m); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, fmt.Errorf("go list: decoding output: %v", err)
-			}
-			if m.Export != "" {
-				exports[m.ImportPath] = m.Export
-			}
-		}
-	}
-
-	return typeCheckParsed(fset, importPath, dir, files, exports, nil)
 }
 
 // typeCheck parses the named files and type-checks them as importPath.

@@ -101,14 +101,6 @@ func (p *Params) NormalizedPref() []float64 {
 	return out
 }
 
-// Clone returns a deep copy of the parameters.
-func (p *Params) Clone() *Params {
-	out := &Params{F: p.F}
-	out.Activity = append([]float64(nil), p.Activity...)
-	out.Pref = append([]float64(nil), p.Pref...)
-	return out
-}
-
 // Evaluate produces the traffic matrix implied by the simplified IC model
 // (eq. 2): X_ij = f·A_i·p_j + (1-f)·A_j·p_i.
 func (p *Params) Evaluate() (*tm.TrafficMatrix, error) {
@@ -127,30 +119,6 @@ func (p *Params) Evaluate() (*tm.TrafficMatrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// Marginals returns the model-implied ingress and egress node totals
-// without materializing the full matrix (eq. 10 and its egress twin):
-//
-//	X_i* = f·A_i + (1-f)·S_A·p_i
-//	X_*i = f·S_A·p_i + (1-f)·A_i
-func (p *Params) Marginals() (ingress, egress []float64, err error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	n := p.N()
-	norm := p.NormalizedPref()
-	var sa float64
-	for _, a := range p.Activity {
-		sa += a
-	}
-	ingress = make([]float64, n)
-	egress = make([]float64, n)
-	for i := 0; i < n; i++ {
-		ingress[i] = p.F*p.Activity[i] + (1-p.F)*sa*norm[i]
-		egress[i] = p.F*sa*norm[i] + (1-p.F)*p.Activity[i]
-	}
-	return ingress, egress, nil
 }
 
 // GeneralParams holds parameters for the general IC model (eq. 1), in
@@ -232,28 +200,4 @@ func (p *GeneralParams) Evaluate() (*tm.TrafficMatrix, error) {
 		}
 	}
 	return out, nil
-}
-
-// Simplify collapses the general parameters to simplified ones by taking
-// the activity-weighted mean forward ratio. This is the natural projection
-// used when fitting the simplified model to generally-generated data.
-func (p *GeneralParams) Simplify() *Params {
-	n := p.N()
-	var num, den float64
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w := p.Activity[i]
-			num += w * p.F[i][j]
-			den += w
-		}
-	}
-	f := 0.5
-	if den > 0 {
-		f = num / den
-	}
-	return &Params{
-		F:        f,
-		Activity: append([]float64(nil), p.Activity...),
-		Pref:     append([]float64(nil), p.Pref...),
-	}
 }

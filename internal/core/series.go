@@ -37,6 +37,8 @@ func (v Variant) String() string {
 // for a network of n nodes over T bins, as tabulated in Section 5.1:
 // time-varying 3nT, stable-f 2nT+1, stable-fP nT+n+1. (For comparison the
 // gravity model needs 2nT-1.)
+//
+//iclint:ignore deadexport reached only by its unit tests; deleting it with them is left to a later change (ROADMAP item 7)
 func (v Variant) DegreesOfFreedom(n, T int) int {
 	switch v {
 	case TimeVarying:
@@ -53,6 +55,8 @@ func (v Variant) DegreesOfFreedom(n, T int) int {
 // GravityDegreesOfFreedom returns the gravity model's input count for a
 // network of n nodes over T bins (2nT - 1; the grand total ties ingress
 // to egress).
+//
+//iclint:ignore deadexport reached only by its unit tests; deleting it with them is left to a later change (ROADMAP item 7)
 func GravityDegreesOfFreedom(n, T int) int { return 2*n*T - 1 }
 
 // SeriesParams holds fitted or specified IC parameters for a whole time

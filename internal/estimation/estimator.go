@@ -139,10 +139,6 @@ func (e *Estimator) With(opts ...Option) *Estimator {
 // (estimates are n×n).
 func (e *Estimator) N() int { return e.solver.rm.N }
 
-// Rows returns the length of one observation vector y (L internal links
-// plus 2n marginal rows).
-func (e *Estimator) Rows() int { return e.solver.rm.Rows() }
-
 // Solver exposes the session's shared tomogravity solver for callers
 // that drive the projection step directly (the icbench stage tracer).
 func (e *Estimator) Solver() *Solver { return e.solver }

@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -20,9 +19,6 @@ import (
 	"ictm/internal/tm"
 	"ictm/internal/topology"
 )
-
-// ErrConfig reports invalid experiment configuration.
-var ErrConfig = errors.New("experiments: invalid config")
 
 // Config scales the experiments. Scale 1.0 is full paper scale (2016
 // five-minute bins per week for the Géant-like data); smaller values

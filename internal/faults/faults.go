@@ -160,9 +160,6 @@ func NewInjector(p Profile, seed uint64, links int) *Injector {
 	return &Injector{prof: p, root: rng.New(seed).Derive("faults/" + p.Name), links: links}
 }
 
-// Profile returns the injector's profile.
-func (inj *Injector) Profile() Profile { return inj.prof }
-
 // Apply corrupts the internal-link entries of the bin-t observation y
 // in place. prev is the previous bin's pre-fault observation (used by
 // the stale-report mechanism; nil for the first bin, which then never

@@ -72,9 +72,6 @@ func NewCholeskyRidge(a *Matrix, ridge float64) (*Cholesky, error) {
 	return nil, fmt.Errorf("%w: Cholesky failed even with ridge %g", ErrSingular, added)
 }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
 // Solve solves A·x = b for x using the stored factorization.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 	n := c.l.Rows()
@@ -101,25 +98,4 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 		x[i] = s / c.l.At(i, i)
 	}
 	return x, nil
-}
-
-// SolveMatrix solves A·X = B column by column.
-func (c *Cholesky) SolveMatrix(b *Matrix) (*Matrix, error) {
-	n := c.l.Rows()
-	if b.Rows() != n {
-		return nil, fmt.Errorf("%w: Cholesky solve with B %dx%d, want %d rows", ErrShape, b.Rows(), b.Cols(), n)
-	}
-	out := NewMatrix(n, b.Cols())
-	col := make([]float64, n) // one column buffer reused across all solves
-	for j := 0; j < b.Cols(); j++ {
-		b.ColInto(j, col)
-		x, err := c.Solve(col)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range x {
-			out.Set(i, j, v)
-		}
-	}
-	return out, nil
 }

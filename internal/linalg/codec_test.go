@@ -41,14 +41,14 @@ func TestSparseCodecRoundTrip(t *testing.T) {
 		// Mix in negative values: the codec must be sign-faithful even
 		// though routing matrices are nonnegative.
 		if trial%3 == 0 {
-			data := a.Data()
+			data := a.data
 			for i := range data {
 				if data[i] != 0 && r.Intn(2) == 0 {
 					data[i] = -data[i]
 				}
 			}
 		}
-		s := SparseFromDense(a)
+		s := sparseFromDense(a)
 		enc := s.AppendBinary(nil)
 		if len(enc) != s.EncodedLen() {
 			t.Fatalf("trial %d: encoded %d bytes, EncodedLen says %d", trial, len(enc), s.EncodedLen())
@@ -94,7 +94,7 @@ func TestSparseCodecAppend(t *testing.T) {
 // panic.
 func TestSparseDecodeRejectsTruncation(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	s := SparseFromDense(randomSparseMatrix(r, 7, 9, 0.3))
+	s := sparseFromDense(randomSparseMatrix(r, 7, 9, 0.3))
 	enc := s.AppendBinary(nil)
 	for cut := 0; cut < len(enc); cut++ {
 		if _, err := DecodeSparse(enc[:cut]); !errors.Is(err, ErrDecode) {
@@ -113,7 +113,7 @@ func TestSparseDecodeRejectsTruncation(t *testing.T) {
 // store layer's checksums exist to catch those.)
 func TestSparseDecodeRejectsCorruption(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
-	s := SparseFromDense(randomSparseMatrix(r, 6, 8, 0.25))
+	s := sparseFromDense(randomSparseMatrix(r, 6, 8, 0.25))
 	enc := s.AppendBinary(nil)
 	for pos := 0; pos < len(enc); pos++ {
 		for bit := 0; bit < 8; bit++ {
@@ -183,7 +183,7 @@ func FuzzSparseDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{sparseCodecVersion})
 	for _, dims := range [][2]int{{1, 1}, {3, 5}, {8, 8}} {
-		s := SparseFromDense(randomSparseMatrix(r, dims[0], dims[1], 0.3))
+		s := sparseFromDense(randomSparseMatrix(r, dims[0], dims[1], 0.3))
 		f.Add(s.AppendBinary(nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -31,7 +31,7 @@ func corpusSeeds() [][]byte {
 	var seeds [][]byte
 	seeds = append(seeds, []byte{}, []byte{sparseCodecVersion}, []byte{99})
 	for _, dims := range [][2]int{{1, 1}, {2, 7}, {5, 5}, {11, 3}} {
-		s := SparseFromDense(randomSparseMatrix(r, dims[0], dims[1], 0.35))
+		s := sparseFromDense(randomSparseMatrix(r, dims[0], dims[1], 0.35))
 		enc := s.AppendBinary(nil)
 		seeds = append(seeds, enc)
 		seeds = append(seeds, enc[:len(enc)/2], enc[:len(enc)-1]) // truncations

@@ -10,7 +10,7 @@ import (
 // randomSPD returns a random symmetric positive-definite n x n matrix.
 func randomSPD(r *rand.Rand, n int) *Matrix {
 	a := randomMatrix(r, n+2, n) // extra rows guarantee full column rank w.h.p.
-	spd := a.AtA()
+	spd := mul(a.T(), a)
 	for i := 0; i < n; i++ {
 		spd.Add(i, i, 0.5) // bound away from singularity
 	}
@@ -19,12 +19,12 @@ func randomSPD(r *rand.Rand, n int) *Matrix {
 
 func TestCholeskyHandChecked(t *testing.T) {
 	// A = [[4,2],[2,3]] => L = [[2,0],[1,sqrt2]]
-	a, _ := NewMatrixFromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := ch.L()
+	l := ch.l
 	if math.Abs(l.At(0, 0)-2) > 1e-14 || math.Abs(l.At(1, 0)-1) > 1e-14 ||
 		math.Abs(l.At(1, 1)-math.Sqrt2) > 1e-14 || l.At(0, 1) != 0 {
 		t.Errorf("L = %v", l)
@@ -40,9 +40,8 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		l := ch.L()
-		llt, _ := l.Mul(l.T())
-		if !llt.Equal(a, 1e-9*a.MaxAbs()) {
+		l := ch.l
+		if !equal(mul(l, l.T()), a, 1e-9*a.MaxAbs()) {
 			t.Fatalf("trial %d: L·Lᵀ != A", trial)
 		}
 	}
@@ -57,7 +56,7 @@ func TestCholeskySolve(t *testing.T) {
 		for i := range want {
 			want[i] = r.NormFloat64()
 		}
-		b, _ := a.MulVec(want)
+		b := mulVec(a, want)
 		ch, err := NewCholesky(a)
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +72,7 @@ func TestCholeskySolve(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := NewCholesky(a); !errors.Is(err, ErrSingular) {
 		t.Errorf("indefinite matrix: err = %v, want ErrSingular", err)
 	}
@@ -81,29 +80,13 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 
 func TestCholeskyRidgeRecovers(t *testing.T) {
 	// Singular PSD matrix; the ridge retry should succeed.
-	a, _ := NewMatrixFromRows([][]float64{{1, 1}, {1, 1}})
+	a := fromRows([][]float64{{1, 1}, {1, 1}})
 	ch, err := NewCholeskyRidge(a, 1e-8)
 	if err != nil {
 		t.Fatalf("ridge failed: %v", err)
 	}
 	if _, err := ch.Solve([]float64{1, 1}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCholeskySolveMatrix(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{4, 0}, {0, 9}})
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := ch.SolveMatrix(Identity(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := NewMatrixFromRows([][]float64{{0.25, 0}, {0, 1.0 / 9}})
-	if !x.Equal(want, 1e-14) {
-		t.Errorf("A⁻¹ = %v, want %v", x, want)
 	}
 }
 
@@ -119,13 +102,11 @@ func TestQRReconstruction(t *testing.T) {
 		}
 		q := qr.Q()
 		rr := qr.R()
-		prod, _ := q.Mul(rr)
-		if !prod.Equal(a, 1e-9) {
+		if prod := mul(q, rr); !equal(prod, a, 1e-9) {
 			t.Fatalf("trial %d: Q·R != A (err %g)", trial, prod.MaxAbs())
 		}
 		// Q orthonormal columns.
-		qtq := q.AtA()
-		if !qtq.Equal(Identity(n), 1e-9) {
+		if !equal(mul(q.T(), q), Identity(n), 1e-9) {
 			t.Fatalf("trial %d: QᵀQ != I", trial)
 		}
 	}
@@ -150,9 +131,11 @@ func TestQRSolveMatchesResidualOrthogonality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ax, _ := a.MulVec(x)
-		res := SubVec(b, ax)
-		atr, _ := a.TMulVec(res)
+		res := mulVec(a, x)
+		for i := range res {
+			res[i] = b[i] - res[i]
+		}
+		atr := tmulVec(a, res)
 		if Norm2(atr) > 1e-8*(1+Norm2(b)) {
 			t.Fatalf("trial %d: Aᵀr = %g not ~0", trial, Norm2(atr))
 		}
@@ -161,7 +144,7 @@ func TestQRSolveMatchesResidualOrthogonality(t *testing.T) {
 
 func TestQRRankDeficiency(t *testing.T) {
 	// Second column is a multiple of the first.
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}, {3, 6}})
 	qr, err := NewQR(a)
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +165,7 @@ func TestQRRejectsWide(t *testing.T) {
 
 func TestSVDHandChecked(t *testing.T) {
 	// diag(3, 2) has singular values 3, 2.
-	a := Diag([]float64{3, 2})
+	a := fromRows([][]float64{{3, 0}, {0, 2}})
 	d, err := NewSVD(a)
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +182,7 @@ func svdReconstruct(d *SVD) *Matrix {
 			us.Set(i, j, us.At(i, j)*s)
 		}
 	}
-	out, _ := us.Mul(d.V.T())
-	return out
+	return mul(us, d.V.T())
 }
 
 func TestSVDReconstruction(t *testing.T) {
@@ -213,7 +195,7 @@ func TestSVDReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !svdReconstruct(d).Equal(a, 1e-9) {
+		if !equal(svdReconstruct(d), a, 1e-9) {
 			t.Fatalf("trial %d: U·S·Vᵀ != A (%dx%d)", trial, m, n)
 		}
 		// Descending order.
@@ -223,10 +205,10 @@ func TestSVDReconstruction(t *testing.T) {
 			}
 		}
 		// Orthonormality.
-		if !d.U.AtA().Equal(Identity(d.U.Cols()), 1e-9) {
+		if !equal(mul(d.U.T(), d.U), Identity(d.U.Cols()), 1e-9) {
 			t.Fatalf("trial %d: UᵀU != I", trial)
 		}
-		if !d.V.AtA().Equal(Identity(d.V.Cols()), 1e-9) {
+		if !equal(mul(d.V.T(), d.V), Identity(d.V.Cols()), 1e-9) {
 			t.Fatalf("trial %d: VᵀV != I", trial)
 		}
 	}
@@ -249,7 +231,7 @@ func TestSVDZeroAndEmpty(t *testing.T) {
 }
 
 func TestSVDRankAndCond(t *testing.T) {
-	a := Diag([]float64{4, 2, 0})
+	a := fromRows([][]float64{{4, 0, 0}, {0, 2, 0}, {0, 0, 0}})
 	d, err := NewSVD(a)
 	if err != nil {
 		t.Fatal(err)
@@ -265,23 +247,21 @@ func TestSVDRankAndCond(t *testing.T) {
 func penroseCheck(t *testing.T, a, ap *Matrix, tol float64) {
 	t.Helper()
 	// 1. A·A⁺·A = A
-	aap, _ := a.Mul(ap)
-	aapa, _ := aap.Mul(a)
-	if !aapa.Equal(a, tol) {
+	aap := mul(a, ap)
+	if !equal(mul(aap, a), a, tol) {
 		t.Error("Penrose 1 failed: A·A⁺·A != A")
 	}
 	// 2. A⁺·A·A⁺ = A⁺
-	apa, _ := ap.Mul(a)
-	apaap, _ := apa.Mul(ap)
-	if !apaap.Equal(ap, tol) {
+	apa := mul(ap, a)
+	if !equal(mul(apa, ap), ap, tol) {
 		t.Error("Penrose 2 failed: A⁺·A·A⁺ != A⁺")
 	}
 	// 3. (A·A⁺)ᵀ = A·A⁺
-	if !aap.T().Equal(aap, tol) {
+	if !equal(aap.T(), aap, tol) {
 		t.Error("Penrose 3 failed: A·A⁺ not symmetric")
 	}
 	// 4. (A⁺·A)ᵀ = A⁺·A
-	if !apa.T().Equal(apa, tol) {
+	if !equal(apa.T(), apa, tol) {
 		t.Error("Penrose 4 failed: A⁺·A not symmetric")
 	}
 }
@@ -292,7 +272,7 @@ func TestPInvPenroseConditions(t *testing.T) {
 		m := 1 + r.Intn(10)
 		n := 1 + r.Intn(10)
 		a := randomMatrix(r, m, n)
-		ap, err := PInv(a, 0)
+		ap, err := pinv(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,8 +282,8 @@ func TestPInvPenroseConditions(t *testing.T) {
 
 func TestPInvRankDeficient(t *testing.T) {
 	// Rank-1 matrix: pinv must still satisfy Penrose conditions.
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}})
-	ap, err := PInv(a, 0)
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
+	ap, err := pinv(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +300,11 @@ func TestSolveMinNormMatchesPInv(t *testing.T) {
 		for i := range b {
 			b[i] = r.NormFloat64()
 		}
-		ap, err := PInv(a, 0)
+		ap, err := pinv(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := ap.MulVec(b)
+		want := mulVec(ap, b)
 		got, err := SolveMinNorm(a, b, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -341,7 +321,7 @@ func TestSolveMinNormMatchesPInv(t *testing.T) {
 // receiver — on tall, wide, rank-deficient and zero matrices.
 func TestSVDSolveMinNormReusesDecomposition(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
-	rankOne, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {2, 4, 6}, {-1, -2, -3}, {3, 6, 9}})
+	rankOne := fromRows([][]float64{{1, 2, 3}, {2, 4, 6}, {-1, -2, -3}, {3, 6, 9}})
 	cases := []struct {
 		name string
 		a    *Matrix
@@ -384,9 +364,9 @@ func TestSVDSolveMinNormReusesDecomposition(t *testing.T) {
 }
 
 func TestLstSqConsistentSystem(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 0}, {0, 2}, {1, 1}})
+	a := fromRows([][]float64{{1, 0}, {0, 2}, {1, 1}})
 	want := []float64{2, 3}
-	b, _ := a.MulVec(want)
+	b := mulVec(a, want)
 	got, err := LstSq(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +378,7 @@ func TestLstSqConsistentSystem(t *testing.T) {
 
 func TestLstSqUnderdetermined(t *testing.T) {
 	// Wide system: 1x2. Minimum-norm solution of x+y=2 is (1,1).
-	a, _ := NewMatrixFromRows([][]float64{{1, 1}})
+	a := fromRows([][]float64{{1, 1}})
 	got, err := LstSq(a, []float64{2})
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +389,7 @@ func TestLstSqUnderdetermined(t *testing.T) {
 }
 
 func TestSolveSPD(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{2, 1}, {1, 2}})
+	a := fromRows([][]float64{{2, 1}, {1, 2}})
 	b := []float64{3, 3}
 	x, err := SolveSPD(a, b)
 	if err != nil {
@@ -422,7 +402,7 @@ func TestSolveSPD(t *testing.T) {
 
 func TestNNLSClampInteriorOptimum(t *testing.T) {
 	// Unconstrained optimum already non-negative: NNLS equals plain solve.
-	a, _ := NewMatrixFromRows([][]float64{{2, 0}, {0, 2}})
+	a := fromRows([][]float64{{2, 0}, {0, 2}})
 	x, err := NNLSClamp(a, []float64{2, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +441,7 @@ func TestNNLSClampAllClamped(t *testing.T) {
 }
 
 func TestCondFinite(t *testing.T) {
-	d, err := NewSVD(Diag([]float64{4, 2}))
+	d, err := NewSVD(fromRows([][]float64{{4, 0}, {0, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}

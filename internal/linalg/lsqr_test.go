@@ -46,7 +46,7 @@ func TestLSQRAgreesWithSolveMinNorm(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		got, rep, err := LSQR(SparseFromDense(a), b, LSQROptions{})
+		got, rep, err := LSQR(sparseFromDense(a), b, LSQROptions{})
 		if err != nil {
 			t.Fatalf("trial %d: lsqr: %v", trial, err)
 		}
@@ -64,14 +64,14 @@ func TestLSQRAgreesWithSolveMinNorm(t *testing.T) {
 func TestLSQRConsistentSystemExact(t *testing.T) {
 	// On a consistent square well-conditioned system LSQR must return the
 	// unique solution.
-	a, _ := NewMatrixFromRows([][]float64{
+	a := fromRows([][]float64{
 		{4, 1, 0},
 		{1, 3, 1},
 		{0, 1, 5},
 	})
 	xTrue := []float64{1, -2, 3}
-	b, _ := a.MulVec(xTrue)
-	x, rep, err := LSQR(SparseFromDense(a), b, LSQROptions{})
+	b := mulVec(a, xTrue)
+	x, rep, err := LSQR(sparseFromDense(a), b, LSQROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLSQRConsistentSystemExact(t *testing.T) {
 
 func TestLSQRZeroRHS(t *testing.T) {
 	a := randomSparseMatrix(rand.New(rand.NewSource(3)), 6, 4, 0.5)
-	x, rep, err := LSQR(SparseFromDense(a), make([]float64, 6), LSQROptions{})
+	x, rep, err := LSQR(sparseFromDense(a), make([]float64, 6), LSQROptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestLSQRDampedShrinksSolution(t *testing.T) {
 	for i := range b {
 		b[i] = r.NormFloat64()
 	}
-	s := SparseFromDense(a)
+	s := sparseFromDense(a)
 	plain, _, err := LSQR(s, b, LSQROptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestLSQRDampedShrinksSolution(t *testing.T) {
 }
 
 func TestLSQRShapeError(t *testing.T) {
-	a := SparseFromDense(NewMatrix(3, 2))
+	a := sparseFromDense(NewMatrix(3, 2))
 	if _, _, err := LSQR(a, make([]float64, 5), LSQROptions{}); !errors.Is(err, ErrShape) {
 		t.Errorf("err = %v, want ErrShape", err)
 	}
@@ -134,7 +134,7 @@ func TestLSQRShapeError(t *testing.T) {
 
 func TestLSQRDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
-	a := SparseFromDense(randomSparseMatrix(r, 20, 15, 0.2))
+	a := sparseFromDense(randomSparseMatrix(r, 20, 15, 0.2))
 	b := make([]float64, 20)
 	for i := range b {
 		b[i] = r.NormFloat64()

@@ -556,8 +556,10 @@ func foldMax(maxs []float64, c int, a0, a1, a2, a3 float64) {
 // are updated (β > 0), and the rest keep their previous v — and their
 // previous norm state — bit for bit, as the standalone solver leaves v
 // and α untouched when β = 0. The arithmetic per lane matches
-// TMulVecTo + the standalone update loop exactly; see TMulMatTo for
-// why the gather needs no zero-skip to match TMulVecTo.
+// TMulVecTo + the standalone update loop exactly. The gather needs no
+// zero-skip to match TMulVecTo's scatter bitwise: each accumulator
+// starts at +0 and takes its terms in the same ascending-row order, and
+// adding ±0·v for finite v never flips an accumulator's bits.
 func tmulGatherVUpdate(tr *Sparse, u, v []float64, beta []float64, upd []bool, maxs []float64, k int, assign bool) {
 	for c := 0; c < k; c++ {
 		if assign || upd[c] {

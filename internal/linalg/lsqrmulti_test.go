@@ -37,7 +37,8 @@ func randomVecs(r *rand.Rand, k, length int) [][]float64 {
 	return out
 }
 
-// TestMulMatToMatchesMulVecTo: column c of the blocked product must be
+// TestMulMatToMatchesMulVecTo: column c of LSQRMulti's fused blocked
+// product (mulGatherUUpdate with α = 0 over a zero u) must be
 // bit-identical to MulVecTo on column c alone, for every lane-tile shape
 // (k below, at, and straddling the 8/4/1 tile widths), including
 // matrices with explicitly empty rows.
@@ -52,10 +53,10 @@ func TestMulMatToMatchesMulVecTo(t *testing.T) {
 			for j := 0; j < n; j++ {
 				a.Set(r.Intn(m), j, 0)
 			}
-			s := SparseFromDense(a)
+			s := sparseFromDense(a)
 			xs := randomVecs(r, k, n)
 			dst := make([]float64, m*k)
-			s.MulMatTo(dst, interleave(xs, n, k), k)
+			mulGatherUUpdate(s, interleave(xs, n, k), dst, make([]float64, k), make([]float64, k), k)
 			want := make([]float64, m)
 			for c := 0; c < k; c++ {
 				s.MulVecTo(want, xs[c])
@@ -70,7 +71,8 @@ func TestMulMatToMatchesMulVecTo(t *testing.T) {
 	}
 }
 
-// TestTMulMatToMatchesTMulVecTo: the transposed blocked product against
+// TestTMulMatToMatchesTMulVecTo: LSQRMulti's fused transposed gather
+// (tmulGatherVUpdate in assign mode, over the cached transpose) against
 // TMulVecTo, lane by lane, bit for bit — including input vectors with
 // exact zeros (TMulVecTo skips them; the gather must still match).
 func TestTMulMatToMatchesTMulVecTo(t *testing.T) {
@@ -79,7 +81,7 @@ func TestTMulMatToMatchesTMulVecTo(t *testing.T) {
 		for trial := 0; trial < 5; trial++ {
 			m, n := 2+r.Intn(25), 2+r.Intn(25)
 			a := randomSparseMatrix(r, m, n, 0.3)
-			s := SparseFromDense(a)
+			s := sparseFromDense(a)
 			xs := randomVecs(r, k, m)
 			for c := range xs {
 				// Sprinkle exact zeros into the input: the scatter form
@@ -91,7 +93,7 @@ func TestTMulMatToMatchesTMulVecTo(t *testing.T) {
 				}
 			}
 			dst := make([]float64, n*k)
-			s.TMulMatTo(dst, interleave(xs, m, k), k)
+			tmulGatherVUpdate(s.transpose(), interleave(xs, m, k), dst, nil, nil, make([]float64, k), k, true)
 			want := make([]float64, n)
 			for c := 0; c < k; c++ {
 				s.TMulVecTo(want, xs[c])
@@ -149,7 +151,7 @@ func TestLSQRMultiMatchesLSQRBitwise(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5, 8, 9, 13} {
 		for trial := 0; trial < 4; trial++ {
 			m, n := 4+r.Intn(24), 4+r.Intn(24)
-			s := SparseFromDense(randomSparseMatrix(r, m, n, 0.3))
+			s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
 			bs := randomVecs(r, k, m)
 			if k > 2 {
 				// A zero lane converges instantly; the others must run on
@@ -169,7 +171,7 @@ func TestLSQRMultiDampedMatchesLSQR(t *testing.T) {
 	r := rand.New(rand.NewSource(95))
 	for trial := 0; trial < 6; trial++ {
 		m, n := 6+r.Intn(20), 6+r.Intn(20)
-		s := SparseFromDense(randomSparseMatrix(r, m, n, 0.3))
+		s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
 		bs := randomVecs(r, 3+r.Intn(6), m)
 		lsqrMultiVsStandalone(t, s, bs, LSQRMultiOptions{Damp: 0.5})
 	}
@@ -183,7 +185,7 @@ func TestLSQRMultiWorkReuseBitwise(t *testing.T) {
 	var wk LSQRMultiWork
 	for trial := 0; trial < 8; trial++ {
 		m, n := 4+r.Intn(24), 4+r.Intn(24)
-		s := SparseFromDense(randomSparseMatrix(r, m, n, 0.3))
+		s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
 		k := 1 + r.Intn(9)
 		bs := randomVecs(r, k, m)
 		fresh := make([][]float64, k)
@@ -216,7 +218,7 @@ func TestLSQRMultiWorkReuseBitwise(t *testing.T) {
 // TestLSQRMultiShapeErrors: every shape mismatch is an ErrShape, and an
 // empty block is a no-op.
 func TestLSQRMultiShapeErrors(t *testing.T) {
-	s := SparseFromDense(randomSparseMatrix(rand.New(rand.NewSource(97)), 6, 4, 0.5))
+	s := sparseFromDense(randomSparseMatrix(rand.New(rand.NewSource(97)), 6, 4, 0.5))
 	good := [][]float64{make([]float64, 6), make([]float64, 6)}
 	dst := [][]float64{make([]float64, 4), make([]float64, 4)}
 	cases := []struct {

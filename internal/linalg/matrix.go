@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear-algebra kernel used throughout
-// the repository: matrices, vectors, Cholesky and QR factorizations, a
-// one-sided Jacobi SVD, Moore-Penrose pseudo-inverses and least-squares
-// solvers.
+// the repository: matrices, vectors, Cholesky factorization, a one-sided
+// Jacobi SVD with minimum-norm solves, sparse CSR matrices and the LSQR
+// least-squares solvers.
 //
 // The package is deliberately small and self-contained (standard library
 // only). Matrices are stored row-major in a single backing slice; all
@@ -27,8 +27,8 @@ var ErrSingular = errors.New("linalg: singular matrix")
 
 // Matrix is a dense, row-major matrix of float64 values.
 //
-// The zero value is an empty 0x0 matrix. Use NewMatrix or NewMatrixFromRows
-// to construct one with storage.
+// The zero value is an empty 0x0 matrix. Use NewMatrix to construct one
+// with storage.
 type Matrix struct {
 	rows, cols int
 	data       []float64 // len == rows*cols, row-major
@@ -42,39 +42,11 @@ func NewMatrix(r, c int) *Matrix {
 	return &Matrix{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// NewMatrixFromRows builds a matrix from a slice of equal-length rows.
-// The data is copied.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrShape, i, len(row), c)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		m.data[i*n+i] = 1
-	}
-	return m
-}
-
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Matrix {
-	n := len(d)
-	m := NewMatrix(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
 	}
 	return m
 }
@@ -118,17 +90,10 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	m.ColInto(j, out)
-	return out
-}
-
-// ColInto copies column j into dst, which must have length Rows. It is
-// the allocation-free form of Col for hot loops that walk many columns
-// (the pseudo-inverse application in estimation and the column solves in
-// Cholesky.SolveMatrix reuse one buffer across all columns).
+// ColInto copies column j into dst, which must have length Rows, so one
+// buffer serves a walk over many columns.
+//
+//iclint:ignore deadexport estimation's dense SVD reference (dense_ref_test.go) reads singular vectors through it
 func (m *Matrix) ColInto(j int, dst []float64) {
 	if j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("linalg: col %d out of range for %dx%d matrix", j, m.rows, m.cols))
@@ -139,14 +104,6 @@ func (m *Matrix) ColInto(j int, dst []float64) {
 	for i := 0; i < m.rows; i++ {
 		dst[i] = m.data[i*m.cols+j]
 	}
-}
-
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("linalg: SetRow length %d != %d cols", len(v), m.cols))
-	}
-	copy(m.Row(i), v)
 }
 
 // Clone returns a deep copy of m.
@@ -168,71 +125,6 @@ func (m *Matrix) T() *Matrix {
 	return out
 }
 
-// Scale multiplies every element by s, in place, and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-	return m
-}
-
-// AddM returns m + b as a new matrix.
-func (m *Matrix) AddM(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: add %dx%d and %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] += v
-	}
-	return out, nil
-}
-
-// SubM returns m - b as a new matrix.
-func (m *Matrix) SubM(b *Matrix) (*Matrix, error) {
-	if m.rows != b.rows || m.cols != b.cols {
-		return nil, fmt.Errorf("%w: sub %dx%d and %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := m.Clone()
-	for i, v := range b.data {
-		out.data[i] -= v
-	}
-	return out, nil
-}
-
-// Mul returns the matrix product m * b.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.cols != b.rows {
-		return nil, fmt.Errorf("%w: mul %dx%d by %dx%d", ErrShape, m.rows, m.cols, b.rows, b.cols)
-	}
-	out := NewMatrix(m.rows, b.cols)
-	// i-k-j loop order keeps both inner accesses sequential.
-	for i := 0; i < m.rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, a := range arow {
-			if a == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += a * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix-vector product m * x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.cols != len(x) {
-		return nil, fmt.Errorf("%w: mulvec %dx%d by vector of %d", ErrShape, m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.rows)
-	m.MulVecTo(out, x)
-	return out, nil
-}
-
 // MulVecTo computes dst = m * x without allocating, panicking on shape
 // mismatch. Together with TMulVecTo it lets *Matrix satisfy the Op
 // interface of the iterative solvers.
@@ -245,19 +137,8 @@ func (m *Matrix) MulVecTo(dst, x []float64) {
 	}
 }
 
-// TMulVec returns the product of the transpose, mᵀ * x, without forming
-// the transpose.
-func (m *Matrix) TMulVec(x []float64) ([]float64, error) {
-	if m.rows != len(x) {
-		return nil, fmt.Errorf("%w: tmulvec (%dx%d)ᵀ by vector of %d", ErrShape, m.rows, m.cols, len(x))
-	}
-	out := make([]float64, m.cols)
-	m.TMulVecTo(out, x)
-	return out, nil
-}
-
 // TMulVecTo computes dst = mᵀ * x without allocating, panicking on
-// shape mismatch (the error-returning form is TMulVec).
+// shape mismatch.
 func (m *Matrix) TMulVecTo(dst, x []float64) {
 	if m.rows != len(x) || len(dst) != m.cols {
 		panic(fmt.Sprintf("linalg: TMulVecTo (%dx%d)ᵀ with x of %d, dst of %d", m.rows, m.cols, len(x), len(dst)))
@@ -276,46 +157,6 @@ func (m *Matrix) TMulVecTo(dst, x []float64) {
 	}
 }
 
-// AtA returns mᵀ * m computed directly (exploiting symmetry).
-func (m *Matrix) AtA() *Matrix {
-	n := m.cols
-	out := NewMatrix(n, n)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for a := 0; a < n; a++ {
-			ra := row[a]
-			if ra == 0 {
-				continue
-			}
-			orow := out.Row(a)
-			for b := a; b < n; b++ {
-				orow[b] += ra * row[b]
-			}
-		}
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			out.data[b*n+a] = out.data[a*n+b]
-		}
-	}
-	return out
-}
-
-// AAt returns m * mᵀ computed directly (exploiting symmetry).
-func (m *Matrix) AAt() *Matrix {
-	n := m.rows
-	out := NewMatrix(n, n)
-	for a := 0; a < n; a++ {
-		ra := m.Row(a)
-		for b := a; b < n; b++ {
-			v := Dot(ra, m.Row(b))
-			out.data[a*n+b] = v
-			out.data[b*n+a] = v
-		}
-	}
-	return out
-}
-
 // FrobNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobNorm() float64 {
 	return Norm2(m.data)
@@ -330,19 +171,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return max
-}
-
-// Equal reports whether m and b have identical shape and elements within tol.
-func (m *Matrix) Equal(b *Matrix, tol float64) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging; large matrices are elided.
@@ -361,6 +189,3 @@ func (m *Matrix) String() string {
 	}
 	return b.String()
 }
-
-// Data returns the backing slice (row-major). Mutations are visible in m.
-func (m *Matrix) Data() []float64 { return m.data }

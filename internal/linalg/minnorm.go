@@ -1,42 +1,5 @@
 package linalg
 
-// PInv returns the Moore-Penrose pseudo-inverse of a, computed from the
-// Jacobi SVD with singular values below rtol * s_max treated as zero.
-// A non-positive rtol selects a machine-precision default.
-func PInv(a *Matrix, rtol float64) (*Matrix, error) {
-	d, err := NewSVD(a)
-	if err != nil {
-		return nil, err
-	}
-	if rtol <= 0 {
-		rtol = 1e-12
-	}
-	m, n := a.Rows(), a.Cols()
-	out := NewMatrix(n, m)
-	if len(d.S) == 0 || d.S[0] == 0 {
-		return out, nil // pseudo-inverse of the zero matrix is zero
-	}
-	cut := rtol * d.S[0]
-	// A⁺ = V · diag(1/s) · Uᵀ, summing rank-1 terms v_k (1/s_k) u_kᵀ.
-	for k, s := range d.S {
-		if s <= cut {
-			continue
-		}
-		inv := 1 / s
-		for i := 0; i < n; i++ {
-			vik := d.V.At(i, k) * inv
-			if vik == 0 {
-				continue
-			}
-			row := out.Row(i)
-			for j := 0; j < m; j++ {
-				row[j] += vik * d.U.At(j, k)
-			}
-		}
-	}
-	return out, nil
-}
-
 // SolveMinNorm returns the minimum-norm least-squares solution of
 // A·x = b, i.e. A⁺·b, without forming A⁺ explicitly. It is NewSVD
 // followed by (*SVD).SolveMinNorm; callers solving many right-hand

@@ -23,39 +23,12 @@ type Sparse struct {
 	val        []float64 // len nnz, entry values in row-major order
 
 	// trOnce/tr lazily cache the transpose in CSR form the first time
-	// TMulMatTo needs it, turning the blocked transpose product into a
+	// LSQRMulti needs it, turning the blocked transpose product into a
 	// gather with register accumulators instead of a scatter. The cache
 	// keeps Sparse's concurrency contract: it is built at most once and
 	// never mutated afterwards.
 	trOnce sync.Once
 	tr     *Sparse
-}
-
-// SparseFromDense builds the CSR form of a dense matrix, storing exactly
-// the nonzero entries. The input is not retained.
-func SparseFromDense(a *Matrix) *Sparse {
-	m, n := a.Rows(), a.Cols()
-	s := &Sparse{rows: m, cols: n, rowPtr: make([]int, m+1)}
-	nnz := 0
-	for i := 0; i < m; i++ {
-		for _, v := range a.Row(i) {
-			if v != 0 {
-				nnz++
-			}
-		}
-	}
-	s.colIdx = make([]int, 0, nnz)
-	s.val = make([]float64, 0, nnz)
-	for i := 0; i < m; i++ {
-		for j, v := range a.Row(i) {
-			if v != 0 {
-				s.colIdx = append(s.colIdx, j)
-				s.val = append(s.val, v)
-			}
-		}
-		s.rowPtr[i+1] = len(s.val)
-	}
-	return s
 }
 
 // Coord is one (row, col, value) entry in coordinate (triplet) form, the
@@ -68,8 +41,8 @@ type Coord struct {
 // NewSparse builds a CSR matrix directly from coordinate-form entries,
 // without materializing a dense intermediate — the construction path for
 // routing matrices at hundred-node scale, where the dense form alone
-// costs hundreds of megabytes. Zero-valued entries are dropped (keeping
-// the exact-nnz invariant of SparseFromDense); entries are sorted by
+// costs hundreds of megabytes. Zero-valued entries are dropped, so NNZ
+// counts exactly the nonzero entries; entries are sorted by
 // (row, col), so the stored order — and therefore every accumulation
 // order downstream — is independent of input order. Out-of-range and
 // duplicate (row, col) entries are errors: the callers of this
@@ -134,6 +107,8 @@ func (s *Sparse) Cols() int { return s.cols }
 func (s *Sparse) NNZ() int { return len(s.val) }
 
 // Dense materializes the matrix back into dense row-major form.
+//
+//iclint:ignore deadexport dense view for the cross-package reference tests (routing, estimation dense_ref_test.go, bench_test.go)
 func (s *Sparse) Dense() *Matrix {
 	out := NewMatrix(s.rows, s.cols)
 	for i := 0; i < s.rows; i++ {
@@ -170,39 +145,6 @@ func (s *Sparse) MulVecTo(dst, x []float64) {
 	}
 }
 
-// MulMatTo computes dst = s · X for k right-hand sides in one pass.
-// X and dst use an interleaved (row-major, k columns) layout: x[j*k+c]
-// is entry j of right-hand side c, dst[i*k+c] entry i of product c.
-// Amortizing the index/value loads of a row traversal over k sides —
-// with the partial sums of four sides at a time held in registers — is
-// what makes the blocked LSQRMulti driver cheaper per system than k
-// separate solves. Column c of the result is bit-identical to MulVecTo
-// on column c alone: each column accumulates the same values in the
-// same (row-major nonzero) order. It panics on shape mismatch.
-func (s *Sparse) MulMatTo(dst, x []float64, k int) {
-	if k <= 0 || len(x) != s.cols*k || len(dst) != s.rows*k {
-		panic(fmt.Sprintf("linalg: sparse MulMatTo %dx%d with k=%d, x of %d, dst of %d", s.rows, s.cols, k, len(x), len(dst)))
-	}
-	mulMatGather(s.rowPtr, s.colIdx, s.val, dst, x, s.rows, k)
-}
-
-// TMulMatTo computes dst = sᵀ · X for k right-hand sides, with the same
-// interleaved layout as MulMatTo (x has k·rows entries, dst k·cols). It
-// runs as a gather over a lazily-built, cached transpose of s, so each
-// output entry accumulates its terms in the same ascending-row order as
-// TMulVecTo's scatter, making column c bit-identical to TMulVecTo on
-// column c alone. (TMulVecTo skips zero entries of x; a gather needs no
-// skip to match it bitwise: its accumulator starts at +0, and adding
-// ±0·v for finite v can never flip an accumulator's bits.) It panics on
-// shape mismatch.
-func (s *Sparse) TMulMatTo(dst, x []float64, k int) {
-	if k <= 0 || len(x) != s.rows*k || len(dst) != s.cols*k {
-		panic(fmt.Sprintf("linalg: sparse TMulMatTo (%dx%d)ᵀ with k=%d, x of %d, dst of %d", s.rows, s.cols, k, len(x), len(dst)))
-	}
-	t := s.transpose()
-	mulMatGather(t.rowPtr, t.colIdx, t.val, dst, x, t.rows, k)
-}
-
 // transpose returns the cached CSR form of sᵀ, building it on first use.
 // Entries of transpose row j are ordered by ascending original row —
 // the same order in which TMulVecTo's scatter touches output j.
@@ -236,80 +178,8 @@ func (s *Sparse) transpose() *Sparse {
 	return s.tr
 }
 
-// mulMatGather is the shared blocked kernel: dst = M · X where M is the
-// CSR triple (rowPtr, colIdx, val) with the given row count, X
-// interleaved k-wide. Lanes run eight at a time (then four, then one)
-// so the partial sums live in registers across a row's nonzeros; each
-// row's index/value stream is re-read once per lane tile, trading a
-// little redundant index traffic for accumulators that never
-// round-trip through memory.
-func mulMatGather(rowPtr, colIdx []int, val, dst, x []float64, rows, k int) {
-	for i := 0; i < rows; i++ {
-		row := colIdx[rowPtr[i]:rowPtr[i+1]]
-		vals := val[rowPtr[i]:rowPtr[i+1]]
-		d := dst[i*k : i*k+k]
-		c := 0
-		for ; c+8 <= k; c += 8 {
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for p, j := range row {
-				v := vals[p]
-				xb := x[j*k+c : j*k+c+8 : j*k+c+8]
-				a0 += v * xb[0]
-				a1 += v * xb[1]
-				a2 += v * xb[2]
-				a3 += v * xb[3]
-				a4 += v * xb[4]
-				a5 += v * xb[5]
-				a6 += v * xb[6]
-				a7 += v * xb[7]
-			}
-			d[c] = a0
-			d[c+1] = a1
-			d[c+2] = a2
-			d[c+3] = a3
-			d[c+4] = a4
-			d[c+5] = a5
-			d[c+6] = a6
-			d[c+7] = a7
-		}
-		for ; c+4 <= k; c += 4 {
-			var a0, a1, a2, a3 float64
-			for p, j := range row {
-				v := vals[p]
-				xb := x[j*k+c : j*k+c+4 : j*k+c+4]
-				a0 += v * xb[0]
-				a1 += v * xb[1]
-				a2 += v * xb[2]
-				a3 += v * xb[3]
-			}
-			d[c] = a0
-			d[c+1] = a1
-			d[c+2] = a2
-			d[c+3] = a3
-		}
-		for ; c < k; c++ {
-			var acc float64
-			for p, j := range row {
-				acc += vals[p] * x[j*k+c]
-			}
-			d[c] = acc
-		}
-	}
-}
-
-// TMulVec returns the product of the transpose, sᵀ * x, without forming
-// the transpose.
-func (s *Sparse) TMulVec(x []float64) ([]float64, error) {
-	if len(x) != s.rows {
-		return nil, fmt.Errorf("%w: sparse tmulvec (%dx%d)ᵀ by vector of %d", ErrShape, s.rows, s.cols, len(x))
-	}
-	out := make([]float64, s.cols)
-	s.TMulVecTo(out, x)
-	return out, nil
-}
-
 // TMulVecTo computes dst = sᵀ * x without allocating. It panics on shape
-// mismatch (the error-returning form is TMulVec).
+// mismatch.
 func (s *Sparse) TMulVecTo(dst, x []float64) {
 	if len(x) != s.rows || len(dst) != s.cols {
 		panic(fmt.Sprintf("linalg: sparse TMulVecTo (%dx%d)ᵀ with x of %d, dst of %d", s.rows, s.cols, len(x), len(dst)))

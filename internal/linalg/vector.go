@@ -35,64 +35,12 @@ func Norm2(v []float64) float64 {
 	return max * math.Sqrt(s)
 }
 
-// Norm1 returns the sum of absolute values of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// Sum returns the sum of the elements of v.
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Axpy computes y += alpha * x in place. It panics on length mismatch.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: Axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // ScaleVec multiplies v by s in place and returns v.
 func ScaleVec(s float64, v []float64) []float64 {
 	for i := range v {
 		v[i] *= s
 	}
 	return v
-}
-
-// SubVec returns a - b as a new slice. It panics on length mismatch.
-func SubVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: SubVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// AddVec returns a + b as a new slice. It panics on length mismatch.
-func AddVec(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic("linalg: AddVec length mismatch")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }
 
 // CloneVec returns a copy of v.
@@ -104,6 +52,8 @@ func CloneVec(v []float64) []float64 {
 
 // MaxAbsDiff returns the largest absolute elementwise difference between a
 // and b. It panics on length mismatch.
+//
+//iclint:ignore deadexport comparison helper shared by the core, fit and linalg tests
 func MaxAbsDiff(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("linalg: MaxAbsDiff length mismatch")

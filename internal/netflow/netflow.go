@@ -5,17 +5,10 @@
 // so reproducing its statistics matters for every experiment that feeds
 // on the synthetic ensembles.
 //
-// Two fidelity levels are provided:
-//
-//   - SampleSeries — per-OD-entry packet thinning: the byte volume is
-//     converted to packets, Poisson-thinned at the sampling rate, and
-//     scaled back. Unbiased, variance ≈ volume·avgPacketBytes/rate.
-//   - SampleSeriesConnections — connection-level thinning: each OD
-//     entry's volume is first split into Pareto-sized connections with
-//     per-connection packet sizes, then each connection is thinned
-//     independently. Heavy-tailed connection sizes make the estimator
-//     burstier than plain Poisson, matching the over-dispersion real
-//     sampled netflow exhibits.
+// SampleInPlace applies per-OD-entry packet thinning: the byte volume
+// is converted to packets, Poisson-thinned at the sampling rate, and
+// scaled back. The estimate is unbiased, with variance ≈
+// volume·avgPacketBytes/rate.
 package netflow
 
 import (
@@ -37,13 +30,6 @@ type Config struct {
 	AvgPacketBytes float64
 	// Seed drives the deterministic sampling noise.
 	Seed uint64
-
-	// Connection-level knobs (SampleSeriesConnections only):
-	// MeanConnBytes and ConnAlpha parameterize the Pareto connection
-	// size distribution (alpha > 1 so the mean exists). Zero values
-	// select 30 kB and 1.5.
-	MeanConnBytes float64
-	ConnAlpha     float64
 }
 
 // Validate checks the configuration.
@@ -53,33 +39,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: rate %g", ErrConfig, c.Rate)
 	case c.AvgPacketBytes <= 0:
 		return fmt.Errorf("%w: avg packet bytes %g", ErrConfig, c.AvgPacketBytes)
-	case c.MeanConnBytes < 0 || c.ConnAlpha < 0:
-		return fmt.Errorf("%w: negative connection parameters", ErrConfig)
-	case c.ConnAlpha != 0 && c.ConnAlpha <= 1:
-		return fmt.Errorf("%w: ConnAlpha %g must exceed 1", ErrConfig, c.ConnAlpha)
 	}
 	return nil
-}
-
-func (c Config) withDefaults() Config {
-	if c.MeanConnBytes == 0 {
-		c.MeanConnBytes = 30000
-	}
-	if c.ConnAlpha == 0 {
-		c.ConnAlpha = 1.5
-	}
-	return c
-}
-
-// SampleMatrix returns the sampled-measurement estimate of one matrix
-// using per-entry packet thinning.
-func SampleMatrix(x *tm.TrafficMatrix, cfg Config, r *rng.PCG) (*tm.TrafficMatrix, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	out := x.Clone()
-	sampleVec(out.Vec(), cfg, r)
-	return out, nil
 }
 
 // SampleInPlace thins x in place with the caller's noise stream — the
@@ -101,92 +62,4 @@ func sampleVec(vec []float64, cfg Config, r *rng.PCG) {
 		sampled := r.Poisson(expected)
 		vec[k] = float64(sampled) / cfg.Rate * cfg.AvgPacketBytes
 	}
-}
-
-// SampleSeries applies SampleMatrix to every bin with a deterministic
-// per-series noise stream.
-func SampleSeries(truth *tm.Series, cfg Config) (*tm.Series, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	r := rng.New(cfg.Seed).Derive("netflow/sample")
-	out := tm.NewSeries(truth.N(), truth.BinSeconds)
-	for t := 0; t < truth.Len(); t++ {
-		m := truth.At(t).Clone()
-		sampleVec(m.Vec(), cfg, r)
-		if err := out.Append(m); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// SampleSeriesConnections applies connection-level thinning: each OD
-// entry is decomposed into Pareto-sized connections before sampling, so
-// large connections dominate the estimate's variance (over-dispersion).
-func SampleSeriesConnections(truth *tm.Series, cfg Config) (*tm.Series, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	r := rng.New(cfg.Seed).Derive("netflow/connsample")
-	// Pareto(xm, alpha) has mean xm·alpha/(alpha-1); solve xm for the
-	// requested mean connection size.
-	xm := cfg.MeanConnBytes * (cfg.ConnAlpha - 1) / cfg.ConnAlpha
-	out := tm.NewSeries(truth.N(), truth.BinSeconds)
-	for t := 0; t < truth.Len(); t++ {
-		src := truth.At(t)
-		m := tm.New(truth.N())
-		for k, v := range src.Vec() {
-			if v <= 0 {
-				continue
-			}
-			var est float64
-			remaining := v
-			// Carve the volume into connections; the final fragment is
-			// truncated to conserve the total exactly.
-			for remaining > 0 {
-				conn := r.Pareto(xm, cfg.ConnAlpha)
-				if conn > remaining {
-					conn = remaining
-				}
-				remaining -= conn
-				expected := conn / cfg.AvgPacketBytes * cfg.Rate
-				sampled := r.Poisson(expected)
-				est += float64(sampled) / cfg.Rate * cfg.AvgPacketBytes
-				if conn < xm {
-					break // degenerate tiny fragment: stop carving
-				}
-			}
-			m.Vec()[k] = est
-		}
-		if err := out.Append(m); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// RelativeErrors returns per-entry relative estimation errors
-// |est - truth| / truth for entries with positive truth, pooled over
-// all bins — the estimator-quality diagnostic used in tests and docs.
-func RelativeErrors(truth, est *tm.Series) ([]float64, error) {
-	if truth.N() != est.N() || truth.Len() != est.Len() {
-		return nil, fmt.Errorf("%w: shape mismatch", ErrConfig)
-	}
-	var out []float64
-	for t := 0; t < truth.Len(); t++ {
-		tv := truth.At(t).Vec()
-		ev := est.At(t).Vec()
-		for k := range tv {
-			if tv[k] > 0 {
-				d := ev[k] - tv[k]
-				if d < 0 {
-					d = -d
-				}
-				out = append(out, d/tv[k])
-			}
-		}
-	}
-	return out, nil
 }

@@ -22,13 +22,43 @@ func flatSeries(n, T int, value float64) *tm.Series {
 	return s
 }
 
+// sampleSeries thins a copy of every bin of truth with SampleInPlace,
+// drawing from one noise stream per series.
+func sampleSeries(truth *tm.Series, cfg Config) (*tm.Series, error) {
+	r := rng.New(cfg.Seed).Derive("netflow/sample")
+	out := tm.NewSeries(truth.N(), truth.BinSeconds)
+	for t := 0; t < truth.Len(); t++ {
+		m := truth.At(t).Clone()
+		if err := SampleInPlace(m, cfg, r); err != nil {
+			return nil, err
+		}
+		if err := out.Append(m); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// relErrors pools |est - truth| / truth over the entries with positive
+// truth in every bin.
+func relErrors(truth, est *tm.Series) []float64 {
+	var out []float64
+	for t := 0; t < truth.Len(); t++ {
+		ev := est.At(t).Vec()
+		for k, v := range truth.At(t).Vec() {
+			if v > 0 {
+				out = append(out, math.Abs(ev[k]-v)/v)
+			}
+		}
+	}
+	return out
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Rate: 0, AvgPacketBytes: 800},
 		{Rate: 2, AvgPacketBytes: 800},
 		{Rate: 0.001, AvgPacketBytes: 0},
-		{Rate: 0.001, AvgPacketBytes: 800, ConnAlpha: 0.5},
-		{Rate: 0.001, AvgPacketBytes: 800, MeanConnBytes: -1},
 	}
 	for k, c := range bad {
 		if err := c.Validate(); !errors.Is(err, ErrConfig) {
@@ -45,7 +75,7 @@ func TestSampleSeriesUnbiased(t *testing.T) {
 	// Large flows: mean sampled estimate must track the truth closely.
 	truth := flatSeries(4, 50, 8e7) // 100k packets at 800 B => 100 sampled
 	cfg := Config{Rate: 0.001, AvgPacketBytes: 800, Seed: 1}
-	est, err := SampleSeries(truth, cfg)
+	est, err := sampleSeries(truth, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,24 +96,16 @@ func TestSampleSeriesVarianceScaling(t *testing.T) {
 	small := flatSeries(3, 200, 8e5) // ~1 sampled packet per entry
 	big := flatSeries(3, 200, 8e8)   // ~1000 sampled packets per entry
 
-	estSmall, err := SampleSeries(small, cfg)
+	estSmall, err := sampleSeries(small, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	estBig, err := SampleSeries(big, cfg)
+	estBig, err := sampleSeries(big, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rSmall, err := RelativeErrors(small, estSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rBig, err := RelativeErrors(big, estBig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meanSmall := stats.Mean(rSmall)
-	meanBig := stats.Mean(rBig)
+	meanSmall := stats.Mean(relErrors(small, estSmall))
+	meanBig := stats.Mean(relErrors(big, estBig))
 	// Expected ratio ~ sqrt(1000/1) ≈ 32; demand at least 10x.
 	if meanSmall < 10*meanBig {
 		t.Errorf("relative error small=%.3f big=%.4f; expected ~30x separation",
@@ -96,7 +118,7 @@ func TestSampleSeriesZeroEntriesStayZero(t *testing.T) {
 	m := tm.New(2)
 	m.Set(0, 1, 1e7)
 	_ = truth.Append(m)
-	est, err := SampleSeries(truth, Config{Rate: 0.001, AvgPacketBytes: 800, Seed: 3})
+	est, err := sampleSeries(truth, Config{Rate: 0.001, AvgPacketBytes: 800, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +130,11 @@ func TestSampleSeriesZeroEntriesStayZero(t *testing.T) {
 func TestSampleSeriesDeterministic(t *testing.T) {
 	truth := flatSeries(3, 5, 1e7)
 	cfg := Config{Rate: 0.001, AvgPacketBytes: 800, Seed: 4}
-	e1, err := SampleSeries(truth, cfg)
+	e1, err := sampleSeries(truth, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := SampleSeries(truth, cfg)
+	e2, err := sampleSeries(truth, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,60 +151,16 @@ func TestSampleMatrix(t *testing.T) {
 	x := tm.New(2)
 	x.Set(0, 1, 8e8)
 	r := rng.New(5)
-	est, err := SampleMatrix(x, Config{Rate: 0.001, AvgPacketBytes: 800}, r)
-	if err != nil {
+	if err := SampleInPlace(x, Config{Rate: 0.001, AvgPacketBytes: 800}, r); err != nil {
 		t.Fatal(err)
 	}
-	if est.At(0, 1) <= 0 {
-		t.Error("large flow sampled to zero")
+	if x.At(0, 1) <= 0 || x.At(0, 1) == 8e8 {
+		t.Errorf("large flow sampled to %g", x.At(0, 1))
 	}
-	if x.At(0, 1) != 8e8 {
-		t.Error("SampleMatrix must not mutate its input")
+	if x.At(1, 0) != 0 {
+		t.Error("zero entry must stay zero")
 	}
-	if _, err := SampleMatrix(x, Config{}, r); !errors.Is(err, ErrConfig) {
+	if err := SampleInPlace(x, Config{}, r); !errors.Is(err, ErrConfig) {
 		t.Error("invalid config must fail")
-	}
-}
-
-func TestConnectionSamplingOverdispersed(t *testing.T) {
-	// Connection-level thinning must have at least the per-packet
-	// variance; with heavy-tailed connections, typically much more.
-	truth := flatSeries(3, 300, 8e7)
-	plain, err := SampleSeries(truth, Config{Rate: 0.001, AvgPacketBytes: 800, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conns, err := SampleSeriesConnections(truth, Config{Rate: 0.001, AvgPacketBytes: 800, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rPlain, err := RelativeErrors(truth, plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rConn, err := RelativeErrors(truth, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Mean(rConn) < stats.Mean(rPlain)*0.8 {
-		t.Errorf("connection-level error %.4f unexpectedly below packet-level %.4f",
-			stats.Mean(rConn), stats.Mean(rPlain))
-	}
-	// Estimates stay roughly unbiased.
-	var sumTruth, sumConn float64
-	for tb := 0; tb < truth.Len(); tb++ {
-		sumTruth += truth.At(tb).Total()
-		sumConn += conns.At(tb).Total()
-	}
-	if rel := math.Abs(sumConn-sumTruth) / sumTruth; rel > 0.05 {
-		t.Errorf("connection sampling bias %.2f%%", 100*rel)
-	}
-}
-
-func TestRelativeErrorsShapeMismatch(t *testing.T) {
-	a := flatSeries(2, 2, 1)
-	b := flatSeries(3, 2, 1)
-	if _, err := RelativeErrors(a, b); !errors.Is(err, ErrConfig) {
-		t.Error("shape mismatch must fail")
 	}
 }

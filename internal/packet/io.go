@@ -16,6 +16,8 @@ var flowCSVHeader = []string{
 // WriteCSV writes both directions of the trace as CSV with a "link"
 // column ("ab" or "ba"), so a trace can be stored and re-analyzed
 // without regeneration.
+//
+//iclint:ignore deadexport reached only by its unit tests; deleting it with them is left to a later change (ROADMAP item 7)
 func (tr *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(flowCSVHeader); err != nil {
@@ -55,6 +57,8 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 // ReadTraceCSV parses the WriteCSV format. Ground-truth fields of the
 // returned Trace are zero (they are generation metadata, not part of
 // the observable trace).
+//
+//iclint:ignore deadexport reached only by its unit tests; deleting it with them is left to a later change (ROADMAP item 7)
 func ReadTraceCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()

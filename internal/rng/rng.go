@@ -1,7 +1,7 @@
 // Package rng provides a small, deterministic pseudo-random number
 // generator with the distribution samplers used by the synthetic-data
-// substrates: normal, lognormal, truncated normal, exponential, Pareto
-// and Zipf.
+// substrates: normal, lognormal, truncated normal, exponential and
+// Zipf.
 //
 // The generator is a PCG-XSH-RR 64/32 pair combined into 64-bit output.
 // Unlike math/rand's default source it is trivially seedable into
@@ -167,15 +167,6 @@ func (p *PCG) Exp(rate float64) float64 {
 		panic("rng: Exp with rate <= 0")
 	}
 	return -math.Log(1-p.Float64()) / rate
-}
-
-// Pareto returns a Pareto(xm, alpha) variate: support [xm, inf),
-// P[X > x] = (xm/x)^alpha.
-func (p *PCG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto needs positive parameters")
-	}
-	return xm / math.Pow(1-p.Float64(), 1/alpha)
 }
 
 // Zipf returns an integer in [1, n] with P[k] proportional to 1/k^s,

@@ -157,26 +157,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	p := New(12)
-	const n = 100000
-	exceed := 0
-	for i := 0; i < n; i++ {
-		v := p.Pareto(1, 2)
-		if v < 1 {
-			t.Fatalf("Pareto below xm: %g", v)
-		}
-		if v > 2 {
-			exceed++
-		}
-	}
-	// P[X > 2] = (1/2)^2 = 0.25
-	frac := float64(exceed) / n
-	if math.Abs(frac-0.25) > 0.01 {
-		t.Errorf("Pareto tail frac = %g, want ~0.25", frac)
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	p := New(13)
 	counts := make([]int, 6)

@@ -15,6 +15,7 @@ import (
 
 	"ictm/internal/estimation"
 	"ictm/internal/routing"
+	"ictm/internal/topology"
 )
 
 // putJSON PUTs a JSON body and returns the response.
@@ -88,6 +89,14 @@ func TestHTTPV2ResourceLifecycle(t *testing.T) {
 	// Malformed spec: 400.
 	if resp := putJSON(t, srv.URL+"/v2/topologies/bad", map[string]any{"family": "bogus", "n": 3}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed PUT topology: %d", resp.StatusCode)
+	}
+	// A link weight whose path sums could overflow: 400 at registration.
+	line := topology.Spec{Family: topology.FamilyExplicit, N: 3, Edges: []topology.EdgeSpec{
+		{From: 0, To: 1, Weight: 1e308}, {From: 1, To: 0, Weight: 1e308},
+		{From: 1, To: 2, Weight: 1e308}, {From: 2, To: 1, Weight: 1e308},
+	}}
+	if resp := putJSON(t, srv.URL+"/v2/topologies/huge", line); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT topology with weight 1e308: %d", resp.StatusCode)
 	}
 
 	// Register a prior: 201 with a handle, 200 on repeat.

@@ -310,6 +310,11 @@ func TestHTTPV2PatchAndGetTopology(t *testing.T) {
 	if resp := patchJSON(t, srv.URL+"/v2/topologies/live", bad); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("PATCH invalid delta: %d", resp.StatusCode)
 	}
+	e := g.Edges()[0]
+	huge := topology.Delta{Ops: []topology.DeltaOp{{Op: topology.OpReweight, From: e.From, To: e.To, Weight: 1e308}}}
+	if resp := patchJSON(t, srv.URL+"/v2/topologies/live", huge); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PATCH reweight to 1e308: %d", resp.StatusCode)
+	}
 	req, _ := http.NewRequest(http.MethodPatch, srv.URL+"/v2/topologies/live", strings.NewReader("{"))
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("PATCH garbage body: %v %d", err, resp.StatusCode)

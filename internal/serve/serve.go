@@ -51,7 +51,6 @@ import (
 	"ictm/internal/parallel"
 	"ictm/internal/routing"
 	"ictm/internal/store"
-	"ictm/internal/tm"
 	"ictm/internal/topology"
 )
 
@@ -1020,9 +1019,6 @@ type Stream struct {
 	out  chan Estimate
 }
 
-// N returns the stream topology's node count (estimates are n×n).
-func (s *Stream) N() int { return s.n }
-
 // Submit hands one observation to the stream, blocking under
 // backpressure once workers+buffer bins are in flight.
 func (s *Stream) Submit(b Bin) { s.pipe.Submit(b) }
@@ -1383,15 +1379,4 @@ func (e *Engine) SessionDims(s SessionSpec) (rows, links int, err error) {
 		return 0, 0, err
 	}
 	return rm.Rows(), rm.L, nil
-}
-
-// LinkLoads is a convenience for tests and clients generating synthetic
-// observations: Y = R·vec(x) for the topology's routing matrix. It
-// shares (and lazily builds) the engine's pool entry.
-func (e *Engine) LinkLoads(spec topology.Spec, x *tm.TrafficMatrix) ([]float64, error) {
-	_, rm, err := e.estimatorFor(spec)
-	if err != nil {
-		return nil, err
-	}
-	return rm.LinkLoads(x)
 }

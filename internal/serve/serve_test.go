@@ -232,8 +232,8 @@ func TestEngineStreamUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.N() != sc.N {
-		t.Fatalf("stream n=%d", stream.N())
+	if stream.n != sc.N {
+		t.Fatalf("stream n=%d", stream.n)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -291,7 +291,7 @@ func TestEngineLinkLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := NewEngine(1)
-	got, err := engine.LinkLoads(spec, x)
+	got, err := engineLinkLoads(engine, spec, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,4 +300,14 @@ func TestEngineLinkLoads(t *testing.T) {
 			t.Fatalf("row %d: %g vs %g", i, got[i], want[i])
 		}
 	}
+}
+
+// engineLinkLoads returns Y = R·vec(x) for spec's routing matrix, read
+// from (and lazily built into) the engine's pool entry.
+func engineLinkLoads(e *Engine, spec topology.Spec, x *tm.TrafficMatrix) ([]float64, error) {
+	_, rm, err := e.estimatorFor(spec)
+	if err != nil {
+		return nil, err
+	}
+	return rm.LinkLoads(x)
 }

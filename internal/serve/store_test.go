@@ -279,7 +279,7 @@ func TestEnginePatchWriteThrough(t *testing.T) {
 	// removed): re-derive the bins against the derived topology.
 	derivedBins := make([]Bin, len(bins))
 	for i := range bins {
-		y, err := a.LinkLoads(info.Spec, d.Series.At(i))
+		y, err := engineLinkLoads(a, info.Spec, d.Series.At(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,25 +54,6 @@ func FiniteMean(xs []float64) (mean float64, dropped int) {
 	return Mean(f), len(xs) - len(f)
 }
 
-// Variance returns the unbiased sample variance (n-1 denominator),
-// or 0 for samples of size < 2.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the smallest element. It returns ErrEmpty for empty input.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -211,26 +192,4 @@ func CCDF(xs []float64) []CCDFPoint {
 		i = j + 1
 	}
 	return out
-}
-
-// Histogram bins xs into `bins` equal-width buckets over [lo, hi] and
-// returns the counts. Values outside the range are clamped into the
-// first/last bin. It returns nil when bins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, bins int) []int {
-	if bins <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, bins)
-	w := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		k := int((x - lo) / w)
-		if k < 0 {
-			k = 0
-		}
-		if k >= bins {
-			k = bins - 1
-		}
-		counts[k]++
-	}
-	return counts
 }

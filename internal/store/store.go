@@ -110,9 +110,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Counters returns a snapshot of the process-lifetime traffic counters.
 func (s *Store) Counters() Counters {
 	return Counters{

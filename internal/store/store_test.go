@@ -32,13 +32,13 @@ func buildMatrix(t *testing.T, spec topology.Spec) *routing.Matrix {
 // namespace.
 func blobFiles(t *testing.T, st *Store, ns string) []string {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(st.Dir(), ns))
+	entries, err := os.ReadDir(filepath.Join(st.dir, ns))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []string
 	for _, e := range entries {
-		out = append(out, filepath.Join(st.Dir(), ns, e.Name()))
+		out = append(out, filepath.Join(st.dir, ns, e.Name()))
 	}
 	return out
 }

@@ -26,14 +26,6 @@ func (f FlapEvent) Down() topology.Delta {
 	}}
 }
 
-// Up returns the delta restoring the link at its original weight.
-func (f FlapEvent) Up() topology.Delta {
-	return topology.Delta{Ops: []topology.DeltaOp{
-		{Op: topology.OpAdd, From: f.From, To: f.To, Weight: f.W},
-		{Op: topology.OpAdd, From: f.To, To: f.From, Weight: f.W},
-	}}
-}
-
 // FlapSchedule is a sequence of non-overlapping flap events across one
 // scenario week, ordered by StartBin.
 type FlapSchedule struct {

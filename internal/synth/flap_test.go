@@ -54,9 +54,13 @@ func TestGenerateFlapsShape(t *testing.T) {
 		if !down.Connected() {
 			t.Errorf("event %d: down graph disconnected", i)
 		}
-		// Up restores the same edge multiset (re-added edges take fresh
-		// IDs, so the graphs are equivalent, not identical in order).
-		up, _, err := down.Apply(ev.Up())
+		// Re-adding both directions at the original weight restores the
+		// same edge multiset (re-added edges take fresh IDs, so the graphs
+		// are equivalent, not identical in order).
+		up, _, err := down.Apply(topology.Delta{Ops: []topology.DeltaOp{
+			{Op: topology.OpAdd, From: ev.From, To: ev.To, Weight: ev.W},
+			{Op: topology.OpAdd, From: ev.To, To: ev.From, Weight: ev.W},
+		}})
 		if err != nil {
 			t.Fatalf("event %d: Up: %v", i, err)
 		}

@@ -22,9 +22,6 @@ type Harmonic struct {
 	A, B float64
 }
 
-// Amplitude returns the component's magnitude.
-func (h Harmonic) Amplitude() float64 { return math.Hypot(h.A, h.B) }
-
 // HarmonicModel is a mean level plus K harmonics of a fundamental period.
 type HarmonicModel struct {
 	Period    float64 // fundamental period in samples
@@ -75,15 +72,6 @@ func (m *HarmonicModel) Eval(t float64) float64 {
 		v += h.A*math.Cos(w*t) + h.B*math.Sin(w*t)
 	}
 	return v
-}
-
-// Synthesize returns n samples of the model starting at index 0.
-func (m *HarmonicModel) Synthesize(n int) []float64 {
-	out := make([]float64, n)
-	for t := range out {
-		out[t] = m.Eval(float64(t))
-	}
-	return out
 }
 
 // PeriodicEnergyFraction returns the share of the series' variance
@@ -190,30 +178,4 @@ func DominantPeriod(xs []float64, minLag, maxLag int) (int, float64, error) {
 		return 0, 0, nil
 	}
 	return bestLag, bestR, nil
-}
-
-// MovingAverage returns the centered moving average of xs with the given
-// odd window; edges use the available partial window.
-func MovingAverage(xs []float64, window int) ([]float64, error) {
-	if window <= 0 || window%2 == 0 {
-		return nil, fmt.Errorf("%w: window %d must be odd and positive", ErrInput, window)
-	}
-	half := window / 2
-	out := make([]float64, len(xs))
-	for t := range xs {
-		lo := t - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := t + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		var s float64
-		for k := lo; k <= hi; k++ {
-			s += xs[k]
-		}
-		out[t] = s / float64(hi-lo+1)
-	}
-	return out, nil
 }

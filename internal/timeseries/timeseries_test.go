@@ -29,8 +29,8 @@ func TestFitHarmonicsRecoversPureSine(t *testing.T) {
 	if math.Abs(m.Harmonics[0].B-3) > 1e-9 || math.Abs(m.Harmonics[0].A) > 1e-9 {
 		t.Errorf("h1 = %+v, want B=3 A=0", m.Harmonics[0])
 	}
-	if m.Harmonics[1].Amplitude() > 1e-9 {
-		t.Errorf("h2 amplitude = %g, want 0", m.Harmonics[1].Amplitude())
+	if h := m.Harmonics[1]; math.Hypot(h.A, h.B) > 1e-9 {
+		t.Errorf("h2 amplitude = %g, want 0", math.Hypot(h.A, h.B))
 	}
 }
 
@@ -45,7 +45,7 @@ func TestEvalMatchesSource(t *testing.T) {
 			t.Errorf("Eval(%d) off by %g", tt, d)
 		}
 	}
-	syn := m.Synthesize(10)
+	syn := synthesize(m, 10)
 	if len(syn) != 10 || math.Abs(syn[0]-xs[0]) > 1e-9 {
 		t.Errorf("Synthesize mismatch")
 	}
@@ -127,41 +127,6 @@ func TestAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestMovingAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	got, err := MovingAverage(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("MA[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if _, err := MovingAverage(xs, 2); !errors.Is(err, ErrInput) {
-		t.Error("even window must fail")
-	}
-	// Smoothing reduces variance of noise.
-	p := rng.New(91)
-	noise := make([]float64, 1000)
-	for i := range noise {
-		noise[i] = p.Norm()
-	}
-	sm, err := MovingAverage(noise, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vRaw, vSm float64
-	for i := range noise {
-		vRaw += noise[i] * noise[i]
-		vSm += sm[i] * sm[i]
-	}
-	if vSm > vRaw/3 {
-		t.Errorf("moving average did not smooth: %g vs %g", vSm, vRaw)
-	}
-}
-
 // Round trip: fit a multi-harmonic model to its own synthesis.
 func TestFitSynthesizeRoundTrip(t *testing.T) {
 	src := &HarmonicModel{
@@ -172,7 +137,7 @@ func TestFitSynthesizeRoundTrip(t *testing.T) {
 			{M: 2, A: 0.5, B: 1},
 		},
 	}
-	xs := src.Synthesize(288)
+	xs := synthesize(src, 288)
 	got, err := FitHarmonics(xs, 144, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -244,4 +209,13 @@ func TestDominantPeriodErrors(t *testing.T) {
 	if _, _, err := DominantPeriod(xs, 1, 50); !errors.Is(err, ErrInput) {
 		t.Error("maxLag >= len must fail")
 	}
+}
+
+// synthesize returns n samples of m starting at index 0.
+func synthesize(m *HarmonicModel, n int) []float64 {
+	out := make([]float64, n)
+	for t := range out {
+		out[t] = m.Eval(float64(t))
+	}
+	return out
 }

@@ -17,7 +17,10 @@ import (
 // The result maps edge ID -> fraction in (0, 1]; edges off every shortest
 // src-dst path are absent. src == dst yields an empty map (intra-PoP
 // traffic never enters the backbone). An unreachable destination is an
-// error.
+// error, and so is a shortest-path DAG the (distance, ID) order cannot
+// route: when a link weight falls below the float spacing of the
+// distance it is added to, a DAG edge can lead to a node that was split
+// already, and its flow would be lost.
 //
 // Path costs compare with a tolerance relative to the pair's distance:
 // an absolute one admits detours and backward edges into the DAG once
@@ -82,54 +85,13 @@ func (g *Graph) ECMPFractionsDist(src, dst int, distFrom, distTo []float64) (map
 		}
 		share := nodeFlow[u] / float64(len(nextHops[u]))
 		for _, eid := range nextHops[u] {
+			v := g.edges[eid].To
+			if v != dst && (distFrom[v] < distFrom[u] || distFrom[v] == distFrom[u] && v < u) {
+				return nil, fmt.Errorf("%w: pair (%d,%d): shortest-path edge %d->%d leads back in distance order (link weights too far apart in scale)", ErrGraph, src, dst, u, v)
+			}
 			frac[eid] += share
-			nodeFlow[g.edges[eid].To] += share
+			nodeFlow[v] += share
 		}
 	}
 	return frac, nil
-}
-
-// PathCount returns the number of distinct shortest paths from src to
-// dst (counting by DAG enumeration). Used by tests to confirm that
-// ECMP splitting actually encounters multipath cases.
-func (g *Graph) PathCount(src, dst int) (int, error) {
-	if src == dst {
-		return 0, nil
-	}
-	distFrom, err := g.Dijkstra(src)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsInf(distFrom[dst], 1) {
-		return 0, nil
-	}
-	distTo, err := g.Reverse().Dijkstra(dst)
-	if err != nil {
-		return 0, err
-	}
-	const eps = 1e-9
-	bound := distFrom[dst] + eps*distFrom[dst]
-
-	order := make([]int, 0, g.n)
-	for u := 0; u < g.n; u++ {
-		if !math.IsInf(distFrom[u], 1) {
-			order = append(order, u)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool { return distFrom[order[a]] < distFrom[order[b]] })
-
-	count := make([]int, g.n)
-	count[src] = 1
-	for _, u := range order {
-		if count[u] == 0 {
-			continue
-		}
-		for _, eid := range g.adj[u] {
-			e := g.edges[eid]
-			if distFrom[e.From]+e.Weight+distTo[e.To] <= bound {
-				count[e.To] += count[u]
-			}
-		}
-	}
-	return count[dst], nil
 }

@@ -45,28 +45,6 @@ func TestECMPFractionsDisconnected(t *testing.T) {
 	}
 }
 
-func TestPathCountDisconnectedAndSelf(t *testing.T) {
-	g := twoIslands(t)
-	// PathCount reports zero paths for unreachable pairs rather than
-	// erroring: "no shortest path exists" is a countable answer.
-	for _, pair := range [][2]int{{0, 3}, {4, 2}} {
-		if c, err := g.PathCount(pair[0], pair[1]); err != nil || c != 0 {
-			t.Errorf("PathCount(%d,%d) = %d, %v; want 0, nil", pair[0], pair[1], c, err)
-		}
-	}
-	// Self-pairs are zero paths by convention (intra-PoP traffic never
-	// enters the backbone), matching ECMPFractionsDist's empty map.
-	for u := 0; u < g.N(); u++ {
-		if c, err := g.PathCount(u, u); err != nil || c != 0 {
-			t.Errorf("PathCount(%d,%d) = %d, %v; want 0, nil", u, u, c, err)
-		}
-		frac, err := ecmpFractions(g, u, u)
-		if err != nil || len(frac) != 0 {
-			t.Errorf("ecmpFractions(%d,%d) = %v, %v; want empty, nil", u, u, frac, err)
-		}
-	}
-}
-
 func TestECMPFractionsRange(t *testing.T) {
 	g := twoIslands(t)
 	for _, pair := range [][2]int{{-1, 0}, {0, 5}, {7, -2}} {

@@ -3,7 +3,6 @@ package topology
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ictm/internal/rng"
 )
@@ -225,26 +224,4 @@ func BackboneStub(n, core int, seed uint64) (*Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// DegreeSequence returns the sorted (descending) undirected degree
-// sequence, counting each bidirectional pair once. Useful in tests and
-// topology summaries.
-func DegreeSequence(g *Graph) []int {
-	deg := make([]int, g.N())
-	seen := make(map[[2]int]bool)
-	for _, e := range g.Edges() {
-		key := [2]int{e.From, e.To}
-		if e.From > e.To {
-			key = [2]int{e.To, e.From}
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		deg[e.From]++
-		deg[e.To]++
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(deg)))
-	return deg
 }

@@ -108,6 +108,8 @@ func GraphSpec(g *Graph) Spec {
 // derived descriptor's Key is the deterministic re-keying of this
 // spec + delta history: equal histories — or different histories with
 // equal outcomes — yield equal keys.
+//
+//iclint:ignore deadexport the routing, serve, estimation, faults and cmd tests derive patched topologies through it; serve patches the Graph directly
 func (s Spec) Apply(d Delta) (Spec, error) {
 	g, err := s.Build()
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package topology provides the network-graph substrate for the
 // TM-estimation experiments: weighted directed graphs, synthetic
 // PoP-level topology generators (ring-with-chords and Waxman), and
-// shortest-path machinery (Dijkstra with equal-cost multipath support,
-// plus Bellman-Ford used as a differential-testing oracle).
+// shortest-path machinery (Dijkstra with equal-cost multipath support).
 package topology
 
 import (
@@ -65,13 +64,18 @@ func validateEdge(from, to int, weight float64) error {
 }
 
 // AddEdge inserts a directed edge and returns its ID. Weights must be
-// positive (Dijkstra requirement).
+// positive (Dijkstra requirement) and at most MaxFloat64/n: a simple
+// path has at most n-1 edges, so no shortest-path sum can overflow to
+// +Inf and read as unreachable.
 func (g *Graph) AddEdge(from, to int, weight float64) (int, error) {
 	if from < 0 || from >= g.n || to < 0 || to >= g.n {
 		return 0, fmt.Errorf("%w: edge %d->%d outside [0,%d)", ErrGraph, from, to, g.n)
 	}
 	if err := validateEdge(from, to, weight); err != nil {
 		return 0, err
+	}
+	if weight > math.MaxFloat64/float64(g.n) {
+		return 0, fmt.Errorf("%w: weight %g on %d->%d exceeds MaxFloat64/%d, so path lengths could overflow", ErrGraph, weight, from, to, g.n)
 	}
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Weight: weight})
@@ -91,11 +95,6 @@ func (g *Graph) AddBiEdge(a, b int, weight float64) (int, int, error) {
 		return 0, 0, err
 	}
 	return f, r, nil
-}
-
-// OutEdges returns the IDs of edges leaving node u.
-func (g *Graph) OutEdges(u int) []int {
-	return g.adj[u]
 }
 
 // Connected reports whether every node is reachable from node 0
@@ -188,33 +187,6 @@ func popMin(q []pqItem) []pqItem {
 		q[i], q[m] = q[m], q[i]
 	}
 	return q
-}
-
-// BellmanFord returns shortest distances from src, used as a slow oracle
-// in differential tests. All weights are positive by construction, so no
-// negative-cycle handling is needed.
-func (g *Graph) BellmanFord(src int) ([]float64, error) {
-	if src < 0 || src >= g.n {
-		return nil, fmt.Errorf("%w: source %d outside [0,%d)", ErrGraph, src, g.n)
-	}
-	dist := make([]float64, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	for round := 0; round < g.n; round++ {
-		changed := false
-		for _, e := range g.edges {
-			if dist[e.From]+e.Weight < dist[e.To] {
-				dist[e.To] = dist[e.From] + e.Weight
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return dist, nil
 }
 
 // Reverse returns the graph with every edge direction flipped. Edge IDs
