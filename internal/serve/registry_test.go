@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"ictm/internal/estimation"
@@ -230,6 +232,85 @@ func TestPriorRegistryLRUBounded(t *testing.T) {
 	}
 	if _, err := engine.Open(context.Background(), SessionSpec{Topology: "a", Prior: h1}); err != nil {
 		t.Errorf("recently-used prior evicted: %v", err)
+	}
+}
+
+// TestPatchCarriedPriorsEvictByHandle pins the eviction order among the
+// priors one PatchTopology call carries: they share that call's use
+// tick, so once they are the registry's oldest entries the LRU bound
+// evicts them in handle order.
+func TestPatchCarriedPriorsEvictByHandle(t *testing.T) {
+	engine := NewEngine(1)
+	engine.maxPriors = 3
+	if _, _, err := engine.RegisterTopology("base", ringSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	states := []estimation.PriorState{
+		{Name: "gravity"},
+		{Name: "ic-stable-f", F: 0.2},
+		{Name: "ic-stable-f", F: 0.3},
+	}
+	var base []string
+	for _, s := range states {
+		h, _, err := engine.RegisterPrior("base", s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, h)
+	}
+	g, err := ringSpec(1).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Carrying three priors into a registry of three evicts the base's.
+	res, err := engine.PatchTopology("base", removableDelta(t, g))
+	if err != nil {
+		t.Fatalf("PatchTopology: %v", err)
+	}
+	var carried []string
+	for _, s := range states {
+		canonical, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carried = append(carried, priorHandle(res.Key, canonical))
+	}
+	sort.Strings(carried)
+
+	// Two fresh priors evict the two smallest carried handles.
+	var fresh []string
+	for _, f := range []float64{0.4, 0.5} {
+		h, created, err := engine.RegisterPrior(res.Key, estimation.PriorState{Name: "ic-stable-f", F: f})
+		if err != nil || !created {
+			t.Fatalf("fresh prior F=%g: created=%v err=%v", f, created, err)
+		}
+		fresh = append(fresh, h)
+	}
+	if st := engine.Stats(); st.RegisteredPriors != 3 || st.RegistrationsEvicted != 5 {
+		t.Fatalf("stats = %+v, want 3 registered / 5 evicted", st)
+	}
+	dims := func(topo, handle string) error {
+		_, _, err := engine.SessionDims(SessionSpec{Topology: topo, Prior: handle})
+		return err
+	}
+	for _, h := range base {
+		if err := dims("base", h); !errors.Is(err, ErrNotFound) {
+			t.Errorf("base prior %s: %v, want evicted", h, err)
+		}
+	}
+	for i, h := range carried {
+		err := dims(res.Key, h)
+		if i < 2 && !errors.Is(err, ErrNotFound) {
+			t.Errorf("carried prior %d (%s): %v, want evicted", i, h, err)
+		}
+		if i == 2 && err != nil {
+			t.Errorf("largest carried handle %s evicted: %v", h, err)
+		}
+	}
+	for _, h := range fresh {
+		if err := dims(res.Key, h); err != nil {
+			t.Errorf("fresh prior %s: %v", h, err)
+		}
 	}
 }
 

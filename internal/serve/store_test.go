@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -170,6 +171,54 @@ func TestEngineWarmStart(t *testing.T) {
 	}
 	if s := b.Stats(); s.RoutingBuilds != 0 {
 		t.Fatalf("serving after warm start paid %d routing builds, want 0", s.RoutingBuilds)
+	}
+}
+
+// TestEngineWarmStartBeyondBound pins which registrations a warm start
+// restores when the store holds more than the registry bound: the first
+// maxTopologies in the store's walk order (its file names, digests of
+// the keys: k2, k3, k1), the rest left on disk without evicting
+// anything. A later lookup of one left behind reads it through and
+// evicts the first key restored.
+func TestEngineWarmStartBeyondBound(t *testing.T) {
+	dir := t.TempDir()
+	a := NewEngine(1, WithStore(openStore(t, dir)))
+	for i, key := range []string{"k0", "k1", "k2", "k3", "k4"} {
+		spec := topology.Spec{Family: topology.FamilyRingChords, N: 5 + i, Chords: 1, Seed: 1}
+		if _, _, err := a.RegisterTopology(key, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b := NewEngine(1, WithStore(openStore(t, dir)))
+	b.maxTopologies = 3
+	topos, priors, err := b.WarmStart()
+	if err != nil || topos != 3 || priors != 0 {
+		t.Fatalf("WarmStart = %d topologies, %d priors, err %v; want 3, 0", topos, priors, err)
+	}
+	keys := func() []string {
+		var out []string
+		for _, info := range b.Topologies() {
+			out = append(out, info.Key)
+		}
+		return out
+	}
+	if got, want := fmt.Sprint(keys()), "[k1 k2 k3]"; got != want {
+		t.Fatalf("warm start restored %s, want %s", got, want)
+	}
+	st := b.Stats()
+	if st.Topologies != 3 || st.TopologiesEvicted != 0 || st.RegistrationsEvicted != 0 || st.RoutingBuilds != 0 {
+		t.Fatalf("stats after warm start: %+v", st)
+	}
+
+	if _, err := b.Topology("k4"); err != nil {
+		t.Fatalf("read-through of a key left on disk: %v", err)
+	}
+	if got, want := fmt.Sprint(keys()), "[k1 k3 k4]"; got != want {
+		t.Fatalf("after read-through: %s, want %s", got, want)
+	}
+	if st := b.Stats(); st.RegistrationsEvicted != 1 {
+		t.Fatalf("read-through evicted %d registrations, want 1", st.RegistrationsEvicted)
 	}
 }
 
