@@ -366,28 +366,13 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 	out := &SeriesResult{
 		Estimates: tm.NewSeries(truth.N(), truth.BinSeconds),
 		Errors:    make([]float64, len(results)),
-		Stats:     RunStats{Bins: len(results)},
 	}
 	for t, r := range results {
 		if err := out.Estimates.Append(r.Estimate); err != nil {
 			return nil, err
 		}
 		out.Errors[t] = r.RelL2
-		out.Stats.IPFSweepsTotal += r.Diag.IPFSweeps
-		if !r.Diag.IPFConverged {
-			out.Stats.IPFNonConverged++
-		}
-		if r.Diag.ProjectStalled {
-			out.Stats.ProjectStalls++
-		}
-		out.Stats.LSQRIterationsTotal += r.Diag.LSQRIterations
-		if r.Diag.Degraded {
-			out.Stats.DegradedBins++
-		}
-		out.Stats.LinksDroppedTotal += r.Diag.LinksDropped
-		if r.Diag.PriorFallback {
-			out.Stats.PriorFallbacks++
-		}
+		out.Stats.Add(r.Diag)
 	}
 	return out, nil
 }

@@ -151,6 +151,26 @@ type RunStats struct {
 	PriorFallbacks int
 }
 
+// Add counts one estimated bin and its diagnostics into the totals.
+func (s *RunStats) Add(d BinDiag) {
+	s.Bins++
+	s.IPFSweepsTotal += d.IPFSweeps
+	if !d.IPFConverged {
+		s.IPFNonConverged++
+	}
+	if d.ProjectStalled {
+		s.ProjectStalls++
+	}
+	s.LSQRIterationsTotal += d.LSQRIterations
+	if d.Degraded {
+		s.DegradedBins++
+	}
+	s.LinksDroppedTotal += d.LinksDropped
+	if d.PriorFallback {
+		s.PriorFallbacks++
+	}
+}
+
 // ObservabilityFloor is the minimum fraction of internal-link equations
 // that must survive masking for the projection step to run: strictly
 // below it the system is too underdetermined for the correction to mean

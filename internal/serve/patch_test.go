@@ -39,7 +39,8 @@ func removableDelta(t *testing.T, g *topology.Graph) topology.Delta {
 // patch a registered topology, estimate against the derived key, and
 // assert the result is bit-identical to a from-scratch rebuild — with
 // the patched solver entering the pool warm and the base's priors
-// carried over.
+// carried over, including one registered between a patch and its
+// repeat.
 func TestEnginePatchTopologyLifecycle(t *testing.T) {
 	sc, d := testScenario(t)
 	engine := NewEngine(1)
@@ -64,6 +65,12 @@ func TestEnginePatchTopologyLifecycle(t *testing.T) {
 	if res.Base != "base" || res.Version != 1 || res.N != sc.N || !strings.HasPrefix(res.Key, "tp-") {
 		t.Fatalf("patch result: %+v", res)
 	}
+	// A prior registered on the base after the first patch is carried
+	// by the repeat.
+	late := estimation.PriorState{Name: "ic-stable-f", F: 0.25}
+	if _, _, err := engine.RegisterPrior("base", late); err != nil {
+		t.Fatalf("RegisterPrior(late): %v", err)
+	}
 	// Idempotent: the same delta resolves to the same derived key.
 	res2, err := engine.PatchTopology("base", down)
 	if err != nil {
@@ -82,13 +89,16 @@ func TestEnginePatchTopologyLifecycle(t *testing.T) {
 	if created {
 		t.Fatal("carried prior re-created under the derived key")
 	}
+	if _, created, err := engine.RegisterPrior(res.Key, late); err != nil || created {
+		t.Fatalf("prior registered between patches: created=%v err=%v, want carried by the repeat", created, err)
+	}
 
 	// Lineage is visible in the registry.
 	info, err := engine.Topology(res.Key)
 	if err != nil {
 		t.Fatalf("Topology(derived): %v", err)
 	}
-	if info.Version != 1 || info.Base != "base" || info.Priors != 1 || info.N != sc.N {
+	if info.Version != 1 || info.Base != "base" || info.Priors != 2 || info.N != sc.N {
 		t.Fatalf("derived listing: %+v", info)
 	}
 	if base, err := engine.Topology("base"); err != nil || base.Version != 0 || base.Base != "" {

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"ictm/internal/estimation"
@@ -311,6 +313,128 @@ func TestPatchCarriedPriorsEvictByHandle(t *testing.T) {
 		if err := dims(res.Key, h); err != nil {
 			t.Errorf("fresh prior %s: %v", h, err)
 		}
+	}
+}
+
+// race runs f(0) … f(n-1) on n goroutines released together.
+func race(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			f(i)
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestRegistryLostRaces drives the registries' lost-race branches:
+// goroutines race on one registration, or on one adoption from a shared
+// store. Exactly one call creates the entry, every other one adopts it
+// or conflicts with it, and the registries stay within their bounds.
+func TestRegistryLostRaces(t *testing.T) {
+	const racers = 8
+	dir := t.TempDir()
+	engine := NewEngine(1, WithStore(openStore(t, dir)))
+	engine.maxTopologies, engine.maxPriors = 2, 2
+
+	// One key, two specs: whichever registration lands first wins, and
+	// the calls naming the other spec conflict with it.
+	specOf := func(i int) topology.Spec { return ringSpec(uint64(1 + i%2)) }
+	created := make([]bool, racers)
+	errs := make([]error, racers)
+	race(racers, func(i int) { _, created[i], errs[i] = engine.RegisterTopology("k", specOf(i)) })
+	winner := -1
+	for i, c := range created {
+		if c && winner >= 0 {
+			t.Fatalf("topology created by calls %d and %d", winner, i)
+		}
+		if c {
+			winner = i
+		}
+	}
+	if winner < 0 {
+		t.Fatalf("no call created the topology: %v", errs)
+	}
+	for i, err := range errs {
+		if specOf(i).Key() == specOf(winner).Key() {
+			if err != nil {
+				t.Errorf("call %d (winner's spec): %v", i, err)
+			}
+		} else if !errors.Is(err, ErrConflict) {
+			t.Errorf("call %d (other spec): %v, want ErrConflict", i, err)
+		}
+	}
+
+	handles := make([]string, racers)
+	race(racers, func(i int) {
+		handles[i], created[i], errs[i] = engine.RegisterPrior("k", estimation.PriorState{Name: "gravity"})
+	})
+	n := 0
+	for i := range handles {
+		if errs[i] != nil || handles[i] != handles[0] {
+			t.Fatalf("prior call %d: handle %q err %v, want %q", i, handles[i], errs[i], handles[0])
+		}
+		if created[i] {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("prior created by %d calls, want 1", n)
+	}
+
+	// A replica adopts both through the store; its racing resolvers all
+	// end up with the one entry that landed.
+	replica := NewEngine(1, WithStore(openStore(t, dir)))
+	topos := make([]*topoEntry, racers)
+	priors := make([]*priorEntry, racers)
+	race(racers, func(i int) {
+		if i%2 == 0 {
+			topos[i], _ = replica.lookupTopo("k")
+		} else {
+			priors[i], _ = replica.lookupPrior(handles[0])
+		}
+	})
+	topo, _ := replica.lookupTopo("k")
+	prior, _ := replica.lookupPrior(handles[0])
+	if topo == nil || prior == nil {
+		t.Fatal("replica did not adopt the registrations")
+	}
+	for i := range topos {
+		if i%2 == 0 && topos[i] != topo || i%2 == 1 && priors[i] != prior {
+			t.Errorf("resolver %d adopted an entry that lost the race", i)
+		}
+	}
+	if st := replica.Stats(); st.RegisteredTopologies != 1 || st.RegisteredPriors != 1 {
+		t.Errorf("replica registries: %+v", st)
+	}
+
+	// Racing registrations of distinct keys never overrun the bounds and
+	// never leave a prior whose topology was evicted.
+	race(racers, func(i int) {
+		key := fmt.Sprintf("b%d", i)
+		if _, _, err := engine.RegisterTopology(key, ringSpec(uint64(10+i))); err != nil {
+			t.Errorf("RegisterTopology(%s): %v", key, err)
+			return
+		}
+		if _, _, err := engine.RegisterPrior(key, estimation.PriorState{Name: "gravity"}); err != nil && !errors.Is(err, ErrNotFound) {
+			t.Errorf("RegisterPrior(%s): %v", key, err)
+		}
+	})
+	st := engine.Stats()
+	if st.RegisteredTopologies > 2 || st.RegisteredPriors > 2 || st.Topologies > 2 {
+		t.Fatalf("registries beyond their bounds: %+v", st)
+	}
+	owned := 0
+	for _, info := range engine.Topologies() {
+		owned += info.Priors
+	}
+	if owned != st.RegisteredPriors {
+		t.Fatalf("%d of %d priors belong to a registered topology", owned, st.RegisteredPriors)
 	}
 }
 

@@ -271,8 +271,8 @@ type Stats struct {
 
 // Engine is the shared, long-lived estimation core. It is safe for
 // concurrent use: estimator construction is once-guarded per topology
-// key, estimators are read-only afterwards, registry access is guarded
-// by one mutex, and telemetry is atomic.
+// key, estimators are read-only afterwards, the solver pool and both
+// registries are guarded by one mutex, and the bin telemetry by another.
 type Engine struct {
 	workers int
 	buffer  int
@@ -287,24 +287,23 @@ type Engine struct {
 	store *store.Store
 
 	mu      sync.Mutex
-	solvers map[string]*solverEntry // canonical spec key → pooled estimator
-	topos   map[string]*topoEntry   // client key → registered topology
-	priors  map[string]*priorEntry  // server handle → registered prior
-	tick    int64                   // monotonic use counter driving the LRU orders
-	evicted int64                   // solver-pool evictions
-	regEvic int64                   // registry evictions (topologies + priors)
+	solvers lru[*solverEntry] // canonical spec key → pooled estimator
+	topos   lru[*topoEntry]   // client key → registered topology
+	priors  lru[*priorEntry]  // server handle → registered prior
+	tick    int64             // monotonic use counter driving the LRU orders
+	evicted int64             // solver-pool evictions
+	regEvic int64             // registry evictions (topologies + priors)
 
-	builds    atomic.Int64 // routing.Build constructions paid by this process
-	draining  atomic.Bool
-	streams   atomic.Int64
-	bins      atomic.Int64
-	binErrors atomic.Int64
-	ipfNC     atomic.Int64
-	stalls    atomic.Int64
-	lsqrIters atomic.Int64
-	degraded  atomic.Int64
-	dropped   atomic.Int64
-	priorFB   atomic.Int64
+	builds   atomic.Int64 // routing.Build constructions paid by this process
+	draining atomic.Bool
+	streams  atomic.Int64
+
+	// binsMu guards the delivered bins' telemetry: run aggregates the
+	// BinDiag of every bin estimated, binErrors counts the bins that
+	// failed in-band (Stats' Bins counts both).
+	binsMu    sync.Mutex
+	run       estimation.RunStats
+	binErrors int64
 	// blockedBins counts bins projected as lanes of a blocked LSQRMulti
 	// call (estimation.BinOutcome.Blocked). Engine-internal: it names a
 	// solve path, not an outcome, so it stays off the wire.
@@ -322,9 +321,14 @@ type solverEntry struct {
 	rm   *routing.Matrix
 	est  *estimation.Estimator
 	err  error
-	// lastUse is the engine tick of the entry's most recent lookup,
-	// guarded by the engine mutex.
-	lastUse int64
+}
+
+// warmEntry is a solver entry built outside the pool's lazy path (a
+// patched topology, a warm start) with its once already burnt.
+func warmEntry(g *topology.Graph, rm *routing.Matrix, est *estimation.Estimator) *solverEntry {
+	ent := &solverEntry{g: g, rm: rm, est: est}
+	ent.once.Do(func() {})
+	return ent
 }
 
 // topoEntry is one registered topology: the client key maps to the
@@ -335,7 +339,6 @@ type topoEntry struct {
 	// client key names a different canonical topology.
 	canonical string
 	n         int
-	lastUse   int64
 	// version and base record mutation lineage for topologies derived by
 	// PatchTopology: version is the mutation depth (0 for direct
 	// registrations), base the key the delta was applied to.
@@ -349,7 +352,57 @@ type priorEntry struct {
 	topoKey string
 	state   []byte // canonical JSON of the PriorState, for idempotence
 	prior   estimation.Prior
-	lastUse int64
+}
+
+// lru is a map bounded by least-recently-used eviction: the one eviction
+// policy of the solver pool and both registries. Each use stamps an
+// entry with the engine's tick; inserting into a full map evicts the
+// entry with the oldest stamp, ties broken by the smaller key, so the
+// evicted entry is a function of the contents, not of Go's randomized
+// map order. Callers hold the engine mutex.
+type lru[V any] struct {
+	m map[string]lruSlot[V]
+}
+
+// lruSlot is one lru entry with the tick of its last use.
+type lruSlot[V any] struct {
+	v    V
+	used int64
+}
+
+func newLRU[V any]() lru[V] { return lru[V]{m: make(map[string]lruSlot[V])} }
+
+// peek returns the entry under key without marking it used.
+func (c *lru[V]) peek(key string) (V, bool) {
+	s, ok := c.m[key]
+	return s.v, ok
+}
+
+// get returns the entry under key, marking it used at tick.
+func (c *lru[V]) get(key string, tick int64) (V, bool) {
+	s, ok := c.m[key]
+	if ok {
+		s.used = tick
+		c.m[key] = s
+	}
+	return s.v, ok
+}
+
+// add inserts v under an absent key, used at tick, first evicting the
+// least-recently-used entry if the map already holds bound entries. It
+// returns the evicted key, and whether there was one.
+func (c *lru[V]) add(key string, v V, tick int64, bound int) (evicted string, ok bool) {
+	if len(c.m) >= bound {
+		var oldest int64
+		for k, s := range c.m {
+			if !ok || s.used < oldest || (s.used == oldest && k < evicted) {
+				evicted, oldest, ok = k, s.used, true
+			}
+		}
+		delete(c.m, evicted)
+	}
+	c.m[key] = lruSlot[V]{v: v, used: tick}
+	return evicted, ok
 }
 
 // EngineOption configures optional engine subsystems at construction.
@@ -387,6 +440,14 @@ type topologyRecord struct {
 	Base    string        `json:"base,omitempty"`
 }
 
+// entry is the registry entry a stored topology record describes.
+func (rec topologyRecord) entry() *topoEntry {
+	return &topoEntry{
+		spec: rec.Spec, canonical: rec.Spec.Key(), n: rec.N,
+		version: rec.Version, base: rec.Base,
+	}
+}
+
 // priorRecord is the store form of one prior registration: the owning
 // topology key and the canonical state JSON the handle was hashed
 // over, so any replica re-validates and re-instantiates the identical
@@ -406,9 +467,9 @@ func NewEngine(workers int, opts ...EngineOption) *Engine {
 		buffer:        defaultBuffer,
 		maxTopologies: defaultMaxTopologies,
 		maxPriors:     defaultMaxPriors,
-		solvers:       make(map[string]*solverEntry),
-		topos:         make(map[string]*topoEntry),
-		priors:        make(map[string]*priorEntry),
+		solvers:       newLRU[*solverEntry](),
+		topos:         newLRU[*topoEntry](),
+		priors:        newLRU[*priorEntry](),
 	}
 	for _, o := range opts {
 		o(e)
@@ -439,16 +500,10 @@ func (e *Engine) entryFor(spec topology.Spec) (*solverEntry, error) {
 	key := spec.Key()
 	e.mu.Lock()
 	e.tick++
-	ent, ok := e.solvers[key]
+	ent, ok := e.solvers.get(key, e.tick)
 	if !ok {
-		if len(e.solvers) >= e.maxTopologies {
-			delete(e.solvers, lruKey(e.solvers, func(s *solverEntry) int64 { return s.lastUse }))
-			e.evicted++
-		}
-		ent = &solverEntry{}
-		e.solvers[key] = ent
+		ent, _ = e.adoptSolverLocked(key, &solverEntry{})
 	}
-	ent.lastUse = e.tick
 	e.mu.Unlock()
 	ent.once.Do(func() {
 		g, err := spec.Build()
@@ -501,14 +556,47 @@ func (e *Engine) storedMatrix(key string, g *topology.Graph) *routing.Matrix {
 	return rm
 }
 
-// estimatorFor is entryFor reduced to the estimator + routing matrix the
-// session paths need.
-func (e *Engine) estimatorFor(spec topology.Spec) (*estimation.Estimator, *routing.Matrix, error) {
-	ent, err := e.entryFor(spec)
-	if err != nil {
-		return nil, nil, err
+// adoptSolverLocked returns the pool entry under key, marked used at the
+// current tick, or inserts ent there (evicting the LRU entry beyond the
+// bound); added reports which. Caller holds e.mu.
+func (e *Engine) adoptSolverLocked(key string, ent *solverEntry) (_ *solverEntry, added bool) {
+	if cur, ok := e.solvers.get(key, e.tick); ok {
+		return cur, false
 	}
-	return ent.est, ent.rm, nil
+	if _, ok := e.solvers.add(key, ent, e.tick, e.maxTopologies); ok {
+		e.evicted++
+	}
+	return ent, true
+}
+
+// adoptTopoLocked is adoptSolverLocked for the topology registry. An
+// eviction cascades to the evicted topology's priors: a dangling prior
+// handle could otherwise reference a key that no longer resolves.
+func (e *Engine) adoptTopoLocked(key string, ent *topoEntry) (_ *topoEntry, added bool) {
+	if cur, ok := e.topos.get(key, e.tick); ok {
+		return cur, false
+	}
+	if old, ok := e.topos.add(key, ent, e.tick, e.maxTopologies); ok {
+		e.regEvic++
+		for h, p := range e.priors.m {
+			if p.v.topoKey == old {
+				delete(e.priors.m, h)
+				e.regEvic++
+			}
+		}
+	}
+	return ent, true
+}
+
+// adoptPriorLocked is adoptSolverLocked for the prior registry.
+func (e *Engine) adoptPriorLocked(handle string, p *priorEntry) (_ *priorEntry, added bool) {
+	if cur, ok := e.priors.get(handle, e.tick); ok {
+		return cur, false
+	}
+	if _, ok := e.priors.add(handle, p, e.tick, e.maxPriors); ok {
+		e.regEvic++
+	}
+	return p, true
 }
 
 // RegisterTopology validates and registers a topology descriptor under
@@ -531,38 +619,29 @@ func (e *Engine) RegisterTopology(key string, spec topology.Spec) (n int, create
 	// Idempotence and conflict detection see through the store: a key
 	// registered by another replica conflicts (or matches) exactly as a
 	// local one would.
-	if ent, ok := e.lookupTopo(key); ok {
-		if ent.canonical != canonical {
-			return 0, false, fmt.Errorf("%w: topology key %q already registered with a different spec", ErrConflict, key)
+	ent, ok := e.lookupTopo(key)
+	if !ok {
+		// Validate outside the lock: the build takes ~0.1 s at n=100 and
+		// the pool entry's once already serializes concurrent builders of
+		// one spec.
+		sol, err := e.entryFor(spec)
+		if err != nil {
+			return 0, false, fmt.Errorf("%w: %v", ErrStream, err)
 		}
-		return ent.n, false, nil
-	}
-
-	// Validate outside the lock: the build takes ~0.1 s at n=100 and the
-	// pool entry's once already serializes concurrent builders of one spec.
-	_, rm, err := e.estimatorFor(spec)
-	if err != nil {
-		return 0, false, fmt.Errorf("%w: %v", ErrStream, err)
-	}
-
-	e.mu.Lock()
-	if ent, ok := e.topos[key]; ok { // lost a registration race
-		n, conflicted := ent.n, ent.canonical != canonical
+		e.mu.Lock()
+		e.tick++
+		// A registration that raced ahead of this one is adopted here and
+		// checked like a lookup hit.
+		ent, created = e.adoptTopoLocked(key, &topoEntry{spec: spec, canonical: canonical, n: sol.rm.N})
 		e.mu.Unlock()
-		if conflicted {
-			return 0, false, fmt.Errorf("%w: topology key %q already registered with a different spec", ErrConflict, key)
-		}
-		return n, false, nil
 	}
-	if len(e.topos) >= e.maxTopologies {
-		e.dropTopologyLocked(lruKey(e.topos, func(t *topoEntry) int64 { return t.lastUse }))
+	if ent.canonical != canonical {
+		return 0, false, fmt.Errorf("%w: topology key %q already registered with a different spec", ErrConflict, key)
 	}
-	e.tick++
-	ent := &topoEntry{spec: spec, canonical: canonical, n: rm.N, lastUse: e.tick}
-	e.topos[key] = ent
-	e.mu.Unlock()
-	e.putTopoRecord(key, ent)
-	return rm.N, true, nil
+	if created {
+		e.putTopoRecord(key, ent)
+	}
+	return ent.n, created, nil
 }
 
 // derivedTopoKey issues the server-side key of a patched topology: a
@@ -588,7 +667,8 @@ func derivedTopoKey(canonical string) string {
 //
 // Patching is idempotent the same way registration is: re-applying a
 // delta (or any delta history converging on the same topology) resolves
-// to the same derived key. Unknown base keys fail with ErrNotFound,
+// to the same derived key, and carries any prior the base gained since
+// the derived key was first registered. Unknown base keys fail with ErrNotFound,
 // invalid deltas (including ones that disconnect the graph) with
 // ErrStream.
 func (e *Engine) PatchTopology(key string, delta topology.Delta) (PatchResult, error) {
@@ -620,51 +700,31 @@ func (e *Engine) PatchTopology(key string, delta topology.Delta) (PatchResult, e
 	canonical := derivedSpec.Key()
 	derivedKey := derivedTopoKey(canonical)
 
+	// One tick for every insert below, so the carried priors tie on use
+	// and a later eviction among them goes by handle.
 	e.mu.Lock()
 	e.tick++
-	// Keep the patched estimator warm: insert it into the solver pool
-	// under the derived canonical key (with a burnt once) instead of
-	// letting the first session rebuild from scratch.
-	if _, ok := e.solvers[canonical]; !ok {
-		if len(e.solvers) >= e.maxTopologies {
-			delete(e.solvers, lruKey(e.solvers, func(s *solverEntry) int64 { return s.lastUse }))
-			e.evicted++
-		}
-		warm := &solverEntry{g: ng, rm: pm, est: rebased, lastUse: e.tick}
-		warm.once.Do(func() {})
-		e.solvers[canonical] = warm
-	}
-	if dent, ok := e.topos[derivedKey]; ok {
-		conflicted := dent.canonical != canonical
-		resVersion := dent.version
-		if !conflicted {
-			dent.lastUse = e.tick
-		}
+	// Keep the patched estimator warm: the first session against the
+	// derived key must not rebuild from scratch.
+	e.adoptSolverLocked(canonical, warmEntry(ng, pm, rebased))
+	dent, created := e.adoptTopoLocked(derivedKey, &topoEntry{
+		spec: derivedSpec, canonical: canonical, n: ng.N(), version: version + 1, base: key,
+	})
+	if dent.canonical != canonical {
 		e.mu.Unlock()
-		if conflicted {
-			return PatchResult{}, fmt.Errorf("%w: derived topology key %q already registered with a different spec", ErrConflict, derivedKey)
-		}
-		return PatchResult{Base: key, Key: derivedKey, N: ng.N(), Version: resVersion}, nil
+		return PatchResult{}, fmt.Errorf("%w: derived topology key %q already registered with a different spec", ErrConflict, derivedKey)
 	}
-	if len(e.topos) >= e.maxTopologies {
-		e.dropTopologyLocked(lruKey(e.topos, func(t *topoEntry) int64 { return t.lastUse }))
-	}
-	dent := &topoEntry{
-		spec: derivedSpec, canonical: canonical, n: ng.N(),
-		version: version + 1, base: key, lastUse: e.tick,
-	}
-	e.topos[derivedKey] = dent
-	// Carry the base's priors: same n, so the validated instances stay
+	// Carry the base's priors, on a repeated patch too (the base may have
+	// gained priors since): same n, so the validated instances stay
 	// correct — only the owning key (and therefore the handle) changes.
-	// Collect first: inserting while ranging over the map would be racy
-	// bookkeeping. Sort by canonical state so the insertion (and any
-	// capacity eviction it triggers) happens in a deterministic order,
-	// not Go's randomized map order — state bytes are unique per prior
-	// of one topology, since the handle is their hash.
+	// Collect first, then insert in canonical-state order, so the inserts
+	// (and any evictions they trigger) do not follow Go's randomized map
+	// order — state bytes are unique per prior of one topology, since the
+	// handle is their hash.
 	var carry []*priorEntry
-	for _, p := range e.priors {
-		if p.topoKey == key {
-			carry = append(carry, p)
+	for _, p := range e.priors.m {
+		if p.v.topoKey == key {
+			carry = append(carry, p.v)
 		}
 	}
 	sort.Slice(carry, func(i, j int) bool {
@@ -673,63 +733,27 @@ func (e *Engine) PatchTopology(key string, delta topology.Delta) (PatchResult, e
 	carried := make(map[string]*priorEntry)
 	for _, p := range carry {
 		h := priorHandle(derivedKey, p.state)
-		if _, ok := e.priors[h]; ok {
-			continue
+		if np, added := e.adoptPriorLocked(h, &priorEntry{topoKey: derivedKey, state: p.state, prior: p.prior}); added {
+			carried[h] = np
 		}
-		if len(e.priors) >= e.maxPriors {
-			delete(e.priors, lruKey(e.priors, func(p *priorEntry) int64 { return p.lastUse }))
-			e.regEvic++
-		}
-		np := &priorEntry{topoKey: derivedKey, state: p.state, prior: p.prior, lastUse: e.tick}
-		e.priors[h] = np
-		carried[h] = np
 	}
 	e.mu.Unlock()
 
 	// Write-through after the registry settles: the derived topology's
 	// matrix (already computed incrementally, bitwise equal to a full
-	// rebuild), its registration record, and the carried priors — so a
-	// replica sharing the store resolves the derived key and its handles
-	// without replaying the delta.
-	if e.store != nil {
-		_ = e.store.PutMatrix(canonical, pm)
+	// rebuild), its registration record, and the newly carried priors —
+	// so a replica sharing the store resolves the derived key and its
+	// handles without replaying the delta.
+	if created {
+		if e.store != nil {
+			_ = e.store.PutMatrix(canonical, pm)
+		}
+		e.putTopoRecord(derivedKey, dent)
 	}
-	e.putTopoRecord(derivedKey, dent)
 	for h, p := range carried {
 		e.putPriorRecord(h, p)
 	}
-	return PatchResult{Base: key, Key: derivedKey, N: ng.N(), Version: version + 1}, nil
-}
-
-// lruKey returns the key of the least-recently-used entry of a pool or
-// registry map (the shared eviction policy). Caller holds e.mu and does
-// the deletion (and its bookkeeping) itself.
-func lruKey[E any](m map[string]E, lastUse func(E) int64) string {
-	var key string
-	lru := int64(1<<63 - 1)
-	for k, ent := range m {
-		// Tie-break equal timestamps by key so the evicted entry is a
-		// function of the map's contents, not of Go's randomized map
-		// iteration order.
-		if t := lastUse(ent); t < lru || (t == lru && (key == "" || k < key)) {
-			lru, key = t, k
-		}
-	}
-	return key
-}
-
-// dropTopologyLocked removes a registered topology and cascades to the
-// priors registered against it (a dangling prior handle could otherwise
-// reference a key that no longer resolves). Caller holds e.mu.
-func (e *Engine) dropTopologyLocked(key string) {
-	delete(e.topos, key)
-	e.regEvic++
-	for h, p := range e.priors {
-		if p.topoKey == key {
-			delete(e.priors, h)
-			e.regEvic++
-		}
-	}
+	return PatchResult{Base: key, Key: derivedKey, N: ng.N(), Version: dent.version}, nil
 }
 
 // lookupTopo resolves a registered topology by client key, falling back
@@ -741,38 +765,22 @@ func (e *Engine) dropTopologyLocked(key string) {
 // are safe to read after return.
 func (e *Engine) lookupTopo(key string) (*topoEntry, bool) {
 	e.mu.Lock()
-	if ent, ok := e.topos[key]; ok {
-		e.tick++
-		ent.lastUse = e.tick
-		e.mu.Unlock()
-		return ent, true
-	}
+	e.tick++
+	ent, ok := e.topos.get(key, e.tick)
 	e.mu.Unlock()
-	if e.store == nil {
-		return nil, false
+	if ok || e.store == nil {
+		return ent, ok
 	}
 	var rec topologyRecord
 	if err := e.store.GetJSON(nsTopologies, key, &rec); err != nil || rec.Key != key || rec.N <= 0 {
 		return nil, false
 	}
-	canonical := rec.Spec.Key()
+	ent = rec.entry()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ent, ok := e.topos[key]; ok { // raced with another resolver
-		e.tick++
-		ent.lastUse = e.tick
-		return ent, true
-	}
-	if len(e.topos) >= e.maxTopologies {
-		e.dropTopologyLocked(lruKey(e.topos, func(t *topoEntry) int64 { return t.lastUse }))
-	}
 	e.tick++
-	ent := &topoEntry{
-		spec: rec.Spec, canonical: canonical, n: rec.N,
-		version: rec.Version, base: rec.Base, lastUse: e.tick,
-	}
-	e.topos[key] = ent
+	ent, _ = e.adoptTopoLocked(key, ent) // another resolver may have won
 	return ent, true
 }
 
@@ -785,15 +793,11 @@ func (e *Engine) lookupTopo(key string) (*topoEntry, bool) {
 // must not hold e.mu.
 func (e *Engine) lookupPrior(handle string) (*priorEntry, bool) {
 	e.mu.Lock()
-	if p, ok := e.priors[handle]; ok {
-		e.tick++
-		p.lastUse = e.tick
-		e.mu.Unlock()
-		return p, true
-	}
+	e.tick++
+	p, ok := e.priors.get(handle, e.tick)
 	e.mu.Unlock()
-	if e.store == nil {
-		return nil, false
+	if ok || e.store == nil {
+		return p, ok
 	}
 	var rec priorRecord
 	if err := e.store.GetJSON(nsPriors, handle, &rec); err != nil || rec.Handle != handle {
@@ -821,26 +825,16 @@ func (e *Engine) lookupPrior(handle string) (*priorEntry, bool) {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if p, ok := e.priors[handle]; ok { // raced with another resolver
-		e.tick++
-		p.lastUse = e.tick
-		return p, true
-	}
-	if len(e.priors) >= e.maxPriors {
-		delete(e.priors, lruKey(e.priors, func(p *priorEntry) int64 { return p.lastUse }))
-		e.regEvic++
-	}
 	e.tick++
-	p := &priorEntry{topoKey: rec.Topology, state: canonical, prior: prior, lastUse: e.tick}
-	e.priors[handle] = p
+	p, _ = e.adoptPriorLocked(handle, &priorEntry{topoKey: rec.Topology, state: canonical, prior: prior}) // another resolver may have won
 	return p, true
 }
 
 // putTopoRecord and putPriorRecord write one registration through to
 // the store, best-effort: failures are counted by the store and cost
 // other replicas a registry miss, never correctness. Callers must not
-// hold e.mu (disk IO); entry fields other than lastUse are immutable,
-// so reading them unlocked is safe.
+// hold e.mu (disk IO); entry fields are immutable, so reading them
+// unlocked is safe.
 func (e *Engine) putTopoRecord(key string, ent *topoEntry) {
 	if e.store == nil {
 		return
@@ -903,43 +897,30 @@ func (e *Engine) RegisterPrior(topoKey string, state estimation.PriorState) (han
 	// this one before calling it idempotent, so a hash collision surfaces
 	// as a conflict instead of silently serving another client's
 	// calibration state.
-	if p, ok := e.lookupPrior(handle); ok {
-		if p.topoKey != topoKey || !bytes.Equal(p.state, canonical) {
-			return "", false, fmt.Errorf("%w: prior handle %q already registered with different state", ErrConflict, handle)
+	p, ok := e.lookupPrior(handle)
+	if !ok {
+		e.mu.Lock()
+		// The topology was validated before the lock was taken;
+		// concurrent registrations may have evicted (and a future client
+		// could re-register) the key meanwhile. Re-check under the lock so
+		// a prior validated against a stale n can never land.
+		if ent, ok := e.topos.peek(topoKey); !ok || ent.n != n {
+			e.mu.Unlock()
+			return "", false, fmt.Errorf("%w: topology key %q", ErrNotFound, topoKey)
 		}
-		return handle, false, nil
-	}
-
-	e.mu.Lock()
-	e.tick++
-	if p, ok := e.priors[handle]; ok { // lost a registration race
-		conflicted := p.topoKey != topoKey || !bytes.Equal(p.state, canonical)
-		if !conflicted {
-			p.lastUse = e.tick
-		}
+		e.tick++
+		// A registration that raced ahead of this one is adopted here and
+		// checked like a lookup hit.
+		p, created = e.adoptPriorLocked(handle, &priorEntry{topoKey: topoKey, state: canonical, prior: prior})
 		e.mu.Unlock()
-		if conflicted {
-			return "", false, fmt.Errorf("%w: prior handle %q already registered with different state", ErrConflict, handle)
-		}
-		return handle, false, nil
 	}
-	// The topology was validated before the lock was taken; concurrent
-	// registrations may have evicted (and a future client could
-	// re-register) the key meanwhile. Re-check under the lock so a prior
-	// validated against a stale n can never land.
-	if ent, ok := e.topos[topoKey]; !ok || ent.n != n {
-		e.mu.Unlock()
-		return "", false, fmt.Errorf("%w: topology key %q", ErrNotFound, topoKey)
+	if p.topoKey != topoKey || !bytes.Equal(p.state, canonical) {
+		return "", false, fmt.Errorf("%w: prior handle %q already registered with different state", ErrConflict, handle)
 	}
-	if len(e.priors) >= e.maxPriors {
-		delete(e.priors, lruKey(e.priors, func(p *priorEntry) int64 { return p.lastUse }))
-		e.regEvic++
+	if created {
+		e.putPriorRecord(handle, p)
 	}
-	p := &priorEntry{topoKey: topoKey, state: canonical, prior: prior, lastUse: e.tick}
-	e.priors[handle] = p
-	e.mu.Unlock()
-	e.putPriorRecord(handle, p)
-	return handle, true, nil
+	return handle, created, nil
 }
 
 // Topologies lists the registered topologies (not the anonymous pool
@@ -949,8 +930,8 @@ func (e *Engine) RegisterPrior(topoKey string, state estimation.PriorState) (han
 func (e *Engine) Topologies() []TopologyInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	keys := make([]string, 0, len(e.topos))
-	for key := range e.topos {
+	keys := make([]string, 0, len(e.topos.m))
+	for key := range e.topos.m {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
@@ -964,10 +945,10 @@ func (e *Engine) Topologies() []TopologyInfo {
 // topologyInfoLocked assembles one registered topology's listing entry.
 // Caller holds e.mu and guarantees the key exists.
 func (e *Engine) topologyInfoLocked(key string) TopologyInfo {
-	ent := e.topos[key]
+	ent, _ := e.topos.peek(key)
 	info := TopologyInfo{Key: key, N: ent.n, Spec: ent.spec, Version: ent.version, Base: ent.base}
-	for _, p := range e.priors {
-		if p.topoKey == key {
+	for _, p := range e.priors.m {
+		if p.v.topoKey == key {
 			info.Priors++
 		}
 	}
@@ -982,7 +963,7 @@ func (e *Engine) Topology(key string) (TopologyInfo, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.topos[key]; !ok { // evicted between lookup and lock
+	if _, ok := e.topos.peek(key); !ok { // evicted between lookup and lock
 		return TopologyInfo{}, fmt.Errorf("%w: topology key %q", ErrNotFound, key)
 	}
 	return e.topologyInfoLocked(key), nil
@@ -1003,18 +984,17 @@ func (e *Engine) resolveSession(s SessionSpec) (*estimation.Estimator, *routing.
 		return nil, nil, nil, fmt.Errorf("%w: prior handle %q is registered for topology %q, not %q",
 			ErrNotFound, s.Prior, p.topoKey, s.Topology)
 	}
-	est, rm, err := e.estimatorFor(ent.spec)
+	sol, err := e.entryFor(ent.spec)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: %v", ErrStream, err)
 	}
-	return est, rm, p.prior, nil
+	return sol.est, sol.rm, p.prior, nil
 }
 
 // Stream is one open estimation stream: submit bins, read estimates in
 // submission order. Close after the last Submit; Out closes once every
 // submitted bin has been delivered.
 type Stream struct {
-	n    int
 	pipe *parallel.Pipeline[Bin, Estimate]
 	out  chan Estimate
 }
@@ -1069,15 +1049,15 @@ func (e *Engine) OpenInline(ctx context.Context, spec StreamSpec) (*Stream, erro
 	if err := e.checkAccepting(); err != nil {
 		return nil, err
 	}
-	est, rm, err := e.estimatorFor(spec.Topology)
+	sol, err := e.entryFor(spec.Topology)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStream, err)
 	}
-	prior, err := spec.Prior.Prior(rm.N)
+	prior, err := spec.Prior.Prior(sol.rm.N)
 	if err != nil {
 		return nil, fmt.Errorf("%w: prior: %v", ErrStream, err)
 	}
-	return e.open(ctx, est, rm, prior, spec.Weighted, spec.SkipIPF), nil
+	return e.open(ctx, sol.est, sol.rm, prior, spec.Weighted, spec.SkipIPF), nil
 }
 
 // binObservation turns a wire Bin into the estimator's observation:
@@ -1145,31 +1125,20 @@ func (e *Engine) open(ctx context.Context, base *estimation.Estimator, rm *routi
 	go func() {
 		for r := range pipe.Out() {
 			est := r.Value
-			e.bins.Add(1)
+			e.binsMu.Lock()
 			if r.Err != nil {
-				e.binErrors.Add(1)
 				est.Error = r.Err.Error()
+				e.run.Bins++
+				e.binErrors++
 			} else {
-				if !est.Diag.IPFConverged {
-					e.ipfNC.Add(1)
-				}
-				if est.Diag.ProjectStalled {
-					e.stalls.Add(1)
-				}
-				if est.Diag.Degraded {
-					e.degraded.Add(1)
-					e.dropped.Add(int64(est.Diag.LinksDropped))
-				}
-				if est.Diag.PriorFallback {
-					e.priorFB.Add(1)
-				}
-				e.lsqrIters.Add(int64(est.Diag.LSQRIterations))
+				e.run.Add(est.Diag)
 			}
+			e.binsMu.Unlock()
 			out <- est
 		}
 		close(out)
 	}()
-	return &Stream{n: rm.N, pipe: pipe, out: out}
+	return &Stream{pipe: pipe, out: out}
 }
 
 // drainBatch collects one stream's ordered output for a bin slice.
@@ -1228,26 +1197,20 @@ func (e *Engine) WarmStart() (topos, priors int, err error) {
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" || rec.N <= 0 {
 			return nil // checksum-valid but semantically damaged: skip
 		}
-		canonical := rec.Spec.Key()
+		ent := rec.entry()
 		e.mu.Lock()
-		if _, ok := e.topos[rec.Key]; ok {
-			e.mu.Unlock()
-			return nil
-		}
-		if len(e.topos) >= e.maxTopologies {
-			// Leave the remainder on disk instead of thrashing the LRU:
-			// lookupTopo loads any of them on first use.
-			e.mu.Unlock()
-			return nil
-		}
-		e.tick++
-		e.topos[rec.Key] = &topoEntry{
-			spec: rec.Spec, canonical: canonical, n: rec.N,
-			version: rec.Version, base: rec.Base, lastUse: e.tick,
+		// Once full, leave the remainder on disk instead of thrashing the
+		// LRU: lookupTopo loads any of them on first use.
+		added := false
+		if len(e.topos.m) < e.maxTopologies {
+			e.tick++
+			_, added = e.adoptTopoLocked(rec.Key, ent)
 		}
 		e.mu.Unlock()
-		e.warmSolver(rec.Spec)
-		topos++
+		if added {
+			e.warmSolver(rec.Spec)
+			topos++
+		}
 		return nil
 	})
 	if err != nil {
@@ -1274,76 +1237,58 @@ func (e *Engine) WarmStart() (topos, priors int, err error) {
 // deterministic, so its edge order matches the stored matrix), the
 // routing matrix decoded from its blob, the estimator constructed over
 // it — never a routing.Build. On any miss the pool is left cold for
-// entryFor's lazy path. Reports whether the entry is warm.
-func (e *Engine) warmSolver(spec topology.Spec) bool {
+// entryFor's lazy path. Like WarmStart, it never evicts.
+func (e *Engine) warmSolver(spec topology.Spec) {
 	key := spec.Key()
 	e.mu.Lock()
-	if _, ok := e.solvers[key]; ok {
-		e.mu.Unlock()
-		return true
-	}
-	full := len(e.solvers) >= e.maxTopologies
+	_, pooled := e.solvers.peek(key)
+	full := len(e.solvers.m) >= e.maxTopologies
 	e.mu.Unlock()
-	if full {
-		return false
+	if pooled || full {
+		return
 	}
 
 	g, err := spec.Build()
 	if err != nil {
-		return false
+		return
 	}
 	rm := e.storedMatrix(key, g)
 	if rm == nil {
-		return false
+		return
 	}
 	est, err := estimation.NewEstimator(rm)
 	if err != nil {
-		return false
+		return
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.solvers[key]; ok {
-		return true
+	if len(e.solvers.m) < e.maxTopologies {
+		e.tick++
+		e.adoptSolverLocked(key, warmEntry(g, rm, est))
 	}
-	if len(e.solvers) >= e.maxTopologies {
-		return false
-	}
-	e.tick++
-	warm := &solverEntry{g: g, rm: rm, est: est, lastUse: e.tick}
-	warm.once.Do(func() {})
-	e.solvers[key] = warm
-	return true
 }
 
 // Stats returns a telemetry snapshot.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	topologies := len(e.solvers)
-	evicted := e.evicted
-	regTopos := len(e.topos)
-	regPriors := len(e.priors)
-	regEvic := e.regEvic
-	e.mu.Unlock()
 	s := Stats{
-		Workers:              parallel.Resolve(e.workers),
-		Topologies:           topologies,
-		TopologiesEvicted:    evicted,
-		RegisteredTopologies: regTopos,
-		RegisteredPriors:     regPriors,
-		RegistrationsEvicted: regEvic,
-		Draining:             e.draining.Load(),
-		Streams:              e.streams.Load(),
-		Bins:                 e.bins.Load(),
-		BinErrors:            e.binErrors.Load(),
-		IPFNonConverged:      e.ipfNC.Load(),
-		ProjectStalls:        e.stalls.Load(),
-		LSQRIterations:       e.lsqrIters.Load(),
-		DegradedBins:         e.degraded.Load(),
-		LinksDropped:         e.dropped.Load(),
-		PriorFallbacks:       e.priorFB.Load(),
-		RoutingBuilds:        e.builds.Load(),
+		Workers:       parallel.Resolve(e.workers),
+		Draining:      e.draining.Load(),
+		Streams:       e.streams.Load(),
+		RoutingBuilds: e.builds.Load(),
 	}
+	e.mu.Lock()
+	s.Topologies, s.TopologiesEvicted = len(e.solvers.m), e.evicted
+	s.RegisteredTopologies, s.RegisteredPriors = len(e.topos.m), len(e.priors.m)
+	s.RegistrationsEvicted = e.regEvic
+	e.mu.Unlock()
+	e.binsMu.Lock()
+	run := e.run
+	s.Bins, s.BinErrors = int64(run.Bins), e.binErrors
+	e.binsMu.Unlock()
+	s.IPFNonConverged, s.ProjectStalls = int64(run.IPFNonConverged), int64(run.ProjectStalls)
+	s.LSQRIterations, s.DegradedBins = int64(run.LSQRIterationsTotal), int64(run.DegradedBins)
+	s.LinksDropped, s.PriorFallbacks = int64(run.LinksDroppedTotal), int64(run.PriorFallbacks)
 	if e.store != nil {
 		c := e.store.Counters()
 		s.StoreHits, s.StoreMisses, s.StoreCorrupt = c.Hits, c.Misses, c.Corrupt
@@ -1360,11 +1305,11 @@ func (e *Engine) SpecDims(spec topology.Spec) (rows, links int, err error) {
 	if err := e.checkAccepting(); err != nil {
 		return 0, 0, err
 	}
-	_, rm, err := e.estimatorFor(spec)
+	sol, err := e.entryFor(spec)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrStream, err)
 	}
-	return rm.Rows(), rm.L, nil
+	return sol.rm.Rows(), sol.rm.L, nil
 }
 
 // SessionDims resolves a registered session's observation dimensions;

@@ -115,18 +115,18 @@ func TestEngineSolverPoolSharedAcrossEquivalentSpecs(t *testing.T) {
 	engine := NewEngine(1)
 	a := topology.Spec{Family: topology.FamilyWaxman, N: 10, Seed: 3}
 	b := topology.Spec{Family: topology.FamilyWaxman, N: 10, Seed: 3, Alpha: 0.6, Beta: 0.4}
-	sa, rma, err := engine.estimatorFor(a)
+	sa, err := engine.entryFor(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, rmb, err := engine.estimatorFor(b)
+	sb, err := engine.entryFor(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa != sb || rma != rmb {
+	if sa.est != sb.est || sa.rm != sb.rm {
 		t.Error("equivalent specs built separate solvers")
 	}
-	if _, _, err := engine.estimatorFor(topology.Spec{Family: topology.FamilyWaxman, N: 11, Seed: 3}); err != nil {
+	if _, err := engine.entryFor(topology.Spec{Family: topology.FamilyWaxman, N: 11, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := engine.Stats().Topologies; got != 2 {
@@ -146,11 +146,11 @@ func TestEngineSolverPoolLRUBounded(t *testing.T) {
 	}
 	get := func(s topology.Spec) *estimation.Estimator {
 		t.Helper()
-		est, _, err := engine.estimatorFor(s)
+		ent, err := engine.entryFor(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return est
+		return ent.est
 	}
 	a1 := get(spec(1))
 	b1 := get(spec(2))
@@ -232,9 +232,6 @@ func TestEngineStreamUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stream.n != sc.N {
-		t.Fatalf("stream n=%d", stream.n)
-	}
 	done := make(chan error, 1)
 	go func() {
 		next := 0
@@ -245,6 +242,10 @@ func TestEngineStreamUnbounded(t *testing.T) {
 			}
 			if est.Error != "" {
 				done <- fmt.Errorf("bin %d: %s", est.T, est.Error)
+				return
+			}
+			if est.N != sc.N {
+				done <- fmt.Errorf("bin %d: n=%d, want %d", est.T, est.N, sc.N)
 				return
 			}
 			if est.Diag.IPFSweeps != 0 {
@@ -305,9 +306,9 @@ func TestEngineLinkLoads(t *testing.T) {
 // engineLinkLoads returns Y = R·vec(x) for spec's routing matrix, read
 // from (and lazily built into) the engine's pool entry.
 func engineLinkLoads(e *Engine, spec topology.Spec, x *tm.TrafficMatrix) ([]float64, error) {
-	_, rm, err := e.estimatorFor(spec)
+	ent, err := e.entryFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	return rm.LinkLoads(x)
+	return ent.rm.LinkLoads(x)
 }
