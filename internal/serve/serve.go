@@ -807,6 +807,14 @@ func (e *Engine) lookupPrior(handle string) (*priorEntry, bool) {
 	if !ok {
 		return nil, false
 	}
+	return e.adoptPriorRecord(rec, topo)
+}
+
+// adoptPriorRecord re-validates a stored prior record against its
+// resolved owning topology — state re-instantiated against its n, the
+// handle recomputed over the canonical state — and adopts it into the
+// prior registry. Caller must not hold e.mu.
+func (e *Engine) adoptPriorRecord(rec priorRecord, topo *topoEntry) (*priorEntry, bool) {
 	var state estimation.PriorState
 	if err := json.Unmarshal(rec.State, &state); err != nil {
 		return nil, false
@@ -819,14 +827,14 @@ func (e *Engine) lookupPrior(handle string) (*priorEntry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if priorHandle(rec.Topology, canonical) != handle {
+	if priorHandle(rec.Topology, canonical) != rec.Handle {
 		return nil, false
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.tick++
-	p, _ = e.adoptPriorLocked(handle, &priorEntry{topoKey: rec.Topology, state: canonical, prior: prior}) // another resolver may have won
+	p, _ := e.adoptPriorLocked(rec.Handle, &priorEntry{topoKey: rec.Topology, state: canonical, prior: prior}) // another resolver may have won
 	return p, true
 }
 
@@ -1182,7 +1190,8 @@ func (e *Engine) EstimateBatchInline(ctx context.Context, spec StreamSpec, bins 
 // WarmStart repopulates the registries and the solver pool from the
 // attached store: every stored topology registration is adopted, with
 // its routing matrix decoded straight into the solver pool, and every
-// stored prior record re-validated and re-instantiated — so a restarted
+// stored prior record of a restored topology re-validated and
+// re-instantiated — so a restarted
 // replica serves all previously registered sessions without a single
 // routing.Build. Damaged or stale records are skipped (the store counts
 // them as corrupt); registrations beyond the LRU bounds stay on disk,
@@ -1221,10 +1230,19 @@ func (e *Engine) WarmStart() (topos, priors int, err error) {
 		if err := json.Unmarshal(payload, &rec); err != nil || rec.Handle == "" {
 			return nil
 		}
-		// lookupPrior does the full adoption dance — owning topology
-		// resolution, state re-validation, handle recomputation — so warm
-		// start cannot admit a record that live traffic would reject.
-		if _, ok := e.lookupPrior(rec.Handle); ok {
+		// Like the topology walk, never evict: restore a prior only under
+		// a topology already registered and while the prior registry has
+		// room; lookupPrior reads the rest through on first use. The
+		// record is validated as lookupPrior validates it, so warm start
+		// cannot admit a record that live traffic would reject.
+		e.mu.Lock()
+		topo, ok := e.topos.peek(rec.Topology)
+		full := len(e.priors.m) >= e.maxPriors
+		e.mu.Unlock()
+		if !ok || full {
+			return nil
+		}
+		if _, ok := e.adoptPriorRecord(rec, topo); ok {
 			priors++
 		}
 		return nil

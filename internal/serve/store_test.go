@@ -222,6 +222,62 @@ func TestEngineWarmStartBeyondBound(t *testing.T) {
 	}
 }
 
+// TestEngineWarmStartPriorsBeyondBound: the prior walk restores a prior
+// only under a topology the topology walk restored, and only while the
+// prior registry has room, so warm start never evicts what it restored.
+// Priors left on disk still resolve by read-through.
+func TestEngineWarmStartPriorsBeyondBound(t *testing.T) {
+	dir := t.TempDir()
+	a := NewEngine(1, WithStore(openStore(t, dir)))
+	handles := map[string]string{}
+	for i, key := range []string{"k0", "k1", "k2", "k3", "k4"} {
+		spec := topology.Spec{Family: topology.FamilyRingChords, N: 5 + i, Chords: 1, Seed: 1}
+		if _, _, err := a.RegisterTopology(key, spec); err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := a.RegisterPrior(key, estimation.PriorState{Name: "gravity"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles[key] = h
+	}
+	registered := func(e *Engine) string {
+		var out []string
+		for _, info := range e.Topologies() {
+			out = append(out, fmt.Sprintf("%s:%d", info.Key, info.Priors))
+		}
+		return fmt.Sprint(out)
+	}
+
+	b := NewEngine(1, WithStore(openStore(t, dir)))
+	b.maxTopologies = 3
+	topos, priors, err := b.WarmStart()
+	if err != nil || topos != 3 || priors != 3 {
+		t.Fatalf("WarmStart = %d topologies, %d priors, err %v; want 3, 3", topos, priors, err)
+	}
+	if got, want := registered(b), "[k1:1 k2:1 k3:1]"; got != want {
+		t.Fatalf("warm start restored %s, want %s", got, want)
+	}
+	if st := b.Stats(); st.RegistrationsEvicted != 0 {
+		t.Fatalf("warm start evicted %d registrations, want 0", st.RegistrationsEvicted)
+	}
+
+	c := NewEngine(1, WithStore(openStore(t, dir)))
+	c.maxPriors = 2
+	topos, priors, err = c.WarmStart()
+	if err != nil || topos != 5 || priors != 2 {
+		t.Fatalf("WarmStart with 2 prior slots = %d topologies, %d priors, err %v; want 5, 2", topos, priors, err)
+	}
+	if st := c.Stats(); st.RegistrationsEvicted != 0 {
+		t.Fatalf("warm start evicted %d registrations, want 0", st.RegistrationsEvicted)
+	}
+	for key, h := range handles {
+		if _, _, err := c.SessionDims(SessionSpec{Topology: key, Prior: h}); err != nil {
+			t.Fatalf("read-through of %s's prior left on disk: %v", key, err)
+		}
+	}
+}
+
 // TestWarmStartRequiresStore: warm start without an attached store is a
 // configuration error, not a silent no-op.
 func TestWarmStartRequiresStore(t *testing.T) {
