@@ -176,7 +176,7 @@ func (s *Solver) solveLanes(blk []*groupBin, bs, dst [][]float64, sc *solveScrat
 		}
 	}
 	if len(blk) >= minBlockLanes {
-		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQRMultiOptions{MaxIter: s.maxIter, Work: &sc.multi})
+		reps, err := linalg.LSQRMulti(csr, bs, dst, linalg.LSQROptions{MaxIter: s.maxIter, Work: &sc.lsqr})
 		if err != nil {
 			return nil, fmt.Errorf("estimation: projection: %w", err)
 		}

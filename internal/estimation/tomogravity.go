@@ -22,8 +22,10 @@ var ErrIPFNoConverge = errors.New("estimation: IPF did not converge")
 // through one entry point, Project, for both the unweighted and the
 // prior-weighted objective: each bin is an LSQR solve against the
 // routing matrix's sparse (CSR) view, so constructing a Solver is O(nnz)
-// and per-bin work is a few dozen sparse mat-vecs. No dense
-// factorization of R is ever formed.
+// and per-bin work is one sparse mat-vec pair per LSQR iteration:
+// 118–149 iterations for an unweighted GeantLike or ISPLike(100) bin,
+// 357–737 for a weighted GeantLike one. No dense factorization of R is
+// ever formed.
 //
 // A Solver is safe for concurrent use once constructed: the routing
 // matrix and its CSR view are never written after NewSolver returns, and
@@ -49,15 +51,14 @@ type Solver struct {
 }
 
 // solveScratch is the reusable working storage of one in-flight solve:
-// the projection's residual and weights, the LSQR work areas (single-RHS
-// and blocked), a blocked solve's per-lane buffers, and the IPF
+// the projection's residual and weights, the LSQR work area (shared by
+// LSQR and LSQRMulti), a blocked solve's per-lane buffers, and the IPF
 // marginal buffers. Pooled on the Solver; not safe for
 // concurrent use — each solve checks one out for its duration.
 type solveScratch struct {
 	res      []float64 // rows-sized: the measurement residual
 	sqrtw    []float64 // n²-sized: the weighted projection's W^{1/2}
 	lsqr     linalg.LSQRWork
-	multi    linalg.LSQRMultiWork
 	blockRes [][]float64         // per lane, rows-sized: blocked residuals
 	blockDst [][]float64         // per lane, n²-sized: blocked corrections
 	reps     []linalg.LSQRReport // per lane: a lane-by-lane block's reports

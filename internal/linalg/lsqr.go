@@ -62,39 +62,50 @@ func (c *ColScaled) TMulVecTo(dst, x []float64) {
 	}
 }
 
-// LSQROptions tune the iterative solver. The zero value selects the
-// defaults documented on each field.
+// LSQROptions tune the iterative solvers LSQR and LSQRMulti. The zero
+// value selects the defaults documented on each field.
 type LSQROptions struct {
-	// Damp adds Tikhonov regularization: the problem solved is
-	// min ‖A·x − b‖² + Damp²·‖x‖². Zero solves the plain least-squares
-	// problem.
-	Damp float64
-	// ATol and BTol are the Paige-Saunders stopping tolerances: the
-	// iteration stops when ‖Aᵀr‖ ≤ ATol·‖A‖·‖r‖ (least-squares
-	// optimality) or ‖r‖ ≤ BTol·‖b‖ + ATol·‖A‖·‖x‖ (consistent-system
-	// residual). Zero selects 1e-13, tight enough that the solution
-	// matches the dense SVD path to well below the pipeline's 1e-6
-	// agreement contract.
-	ATol, BTol float64
-	// MaxIter bounds the iterations; zero selects 4·(Rows+Cols), a
-	// generous budget for the well-conditioned routing systems this
-	// repository solves (they converge in a few dozen iterations).
+	// MaxIter bounds the iterations of every system; zero selects
+	// 4·(Rows+Cols), far above what the routing systems this repository
+	// solves take. Over a day of bins, GeantLike (188×484, budget 2688)
+	// takes 118–123 iterations a bin unweighted and 357–737 weighted;
+	// ISPLike(100) (472×10000, budget 41888) takes 145–149 unweighted.
 	MaxIter int
-	// Work, when non-nil, supplies the solve's working vectors so
-	// steady-state callers allocate nothing per solve. The returned
-	// solution aliases Work's solution buffer and is valid only until
-	// the next solve that uses the same Work; copy it to keep it.
+	// Work, when non-nil, supplies the solve's working storage so
+	// steady-state callers allocate nothing per solve. LSQR's returned
+	// solution and LSQRMulti's returned reports alias Work and are
+	// valid only until the next solve that uses the same Work; copy
+	// them to keep them.
 	Work *LSQRWork
 }
 
-// LSQRWork holds the working vectors of one LSQR solve for reuse across
-// solves of equal (or varying) shape. The zero value is ready to use:
-// buffers grow on demand and are fully overwritten before being read,
-// so reuse cannot leak state between solves — results are bit-identical
-// to a fresh allocation. Not safe for concurrent use; give each worker
-// its own.
+// maxIter resolves MaxIter for an m×n operator.
+func (o LSQROptions) maxIter(m, n int) int {
+	if o.MaxIter > 0 {
+		return o.MaxIter
+	}
+	return 4 * (m + n)
+}
+
+// LSQRWork holds the working storage of LSQR and LSQRMulti solves for
+// reuse across solves of equal (or varying) shape, either driver. The
+// zero value is ready to use: buffers grow on demand and are fully
+// overwritten before being read, so reuse cannot leak state between
+// solves — results are bit-identical to a fresh allocation. Not safe
+// for concurrent use; give each worker its own.
 type LSQRWork struct {
-	x, u, v, w, tmpu, tmpv []float64
+	// The iterate vectors. LSQRMulti interleaves its k systems, entry j
+	// of system c at j·k+c; one system interleaved is LSQR's plain
+	// layout.
+	x, u, v, w []float64
+	// LSQR's mat-vec products, before the update.
+	tmpu, tmpv []float64
+	// LSQRMulti's per-system state: the recurrences, the blocked
+	// kernels' lane scalars, and the returned reports.
+	lanes                               []lane
+	alpha, beta, inv, t1, t2, maxs, ssq []float64
+	upd                                 []bool
+	reps                                []LSQRReport
 }
 
 // grow resizes a buffer to length n, reusing capacity when possible.
@@ -123,8 +134,7 @@ func (w *LSQRWork) vectors(m, n int) (x, u, v, ww, tmpu, tmpv []float64) {
 type LSQRReport struct {
 	// Iterations actually performed.
 	Iterations int
-	// ResidualNorm is the final estimate of ‖b − A·x‖ (including the
-	// damping term when Damp > 0).
+	// ResidualNorm is the final estimate of ‖b − A·x‖.
 	ResidualNorm float64
 	// ATResidualNorm is the final estimate of ‖Aᵀ·(b − A·x)‖, the
 	// least-squares optimality measure.
@@ -135,14 +145,102 @@ type LSQRReport struct {
 	Converged bool
 }
 
-// LSQR solves min ‖A·x − b‖² + damp²·‖x‖² by the Paige-Saunders
-// Golub-Kahan bidiagonalization method, returning the minimum-norm
-// least-squares solution (the same solution SolveMinNorm computes from a
-// dense SVD: LSQR iterates live in range(Aᵀ), which pins down the
-// minimum-norm member of the solution set). Each iteration costs one
-// A·v and one Aᵀ·u product, so for a sparse operator the total cost is
-// O(iterations · nnz) — for the routing systems of this repository a few
-// dozen sparse mat-vecs versus a fresh O((L+2n)²·n²) Jacobi SVD.
+// lsqrTol is the Paige–Saunders stopping tolerance, both atol and btol:
+// an iteration stops when ‖Aᵀr‖ ≤ lsqrTol·‖A‖·‖r‖ (least-squares
+// optimality) or ‖r‖ ≤ lsqrTol·(‖b‖ + ‖A‖·‖x‖) (consistent-system
+// residual).
+const lsqrTol = 1e-13
+
+// lane is the scalar state of one LSQR system: the plane rotations, the
+// running estimates of ‖A‖_F and ‖x‖ (Paige–Saunders §5.3; ‖x‖ comes
+// from the right-rotation recurrence that eliminates the
+// super-diagonal of the upper-bidiagonal system), the stopping tests
+// and the report. LSQR runs one lane; LSQRMulti runs one per system of
+// its block, in lockstep.
+type lane struct {
+	bnorm, rhobar, phibar float64
+	anorm, xxnorm, xnorm  float64
+	cs2, sn2, z           float64
+	rep                   LSQRReport
+}
+
+// start resets the lane for a system with β = ‖b‖ and α = ‖Aᵀ·b‖/‖b‖,
+// the first step of the bidiagonalization, and reports whether x = 0
+// already solves it.
+func (l *lane) start(beta, alpha float64) bool {
+	*l = lane{bnorm: beta, rhobar: alpha, phibar: beta, cs2: -1}
+	switch {
+	case beta == 0:
+		// b = 0: x = 0 is the exact solution.
+		l.rep.Converged = true
+	case alpha == 0:
+		// Aᵀ·b = 0: x = 0 is already least-squares optimal.
+		l.rep.ResidualNorm = beta
+		l.rep.Converged = true
+	}
+	return l.rep.Converged
+}
+
+// step advances the lane by one iteration, given the α and β the
+// bidiagonalization just produced. It applies the plane rotation that
+// annihilates β, updates the norm estimates and the report, and runs
+// the stopping tests, setting rep.Converged. The caller then updates
+// x += t1·w and w = v + t2·w.
+func (l *lane) step(alpha, beta float64) (t1, t2 float64) {
+	l.rep.Iterations++
+	l.anorm = math.Hypot(l.anorm, math.Hypot(alpha, beta))
+
+	rho := math.Hypot(l.rhobar, beta)
+	c := l.rhobar / rho
+	s := beta / rho
+	theta := s * alpha
+	l.rhobar = -c * alpha
+	phi := c * l.phibar
+	l.phibar = s * l.phibar
+	t1 = phi / rho
+	t2 = -theta / rho
+
+	rnorm := math.Abs(l.phibar)
+	arnorm := alpha * math.Abs(s*phi)
+	delta := l.sn2 * rho
+	gambar := -l.cs2 * rho
+	rhs := phi - delta*l.z
+	if gambar != 0 {
+		zbar := rhs / gambar
+		l.xnorm = math.Sqrt(l.xxnorm + zbar*zbar)
+	}
+	gamma := math.Hypot(gambar, theta)
+	if gamma > 0 {
+		l.cs2 = gambar / gamma
+		l.sn2 = theta / gamma
+		l.z = rhs / gamma
+		l.xxnorm += l.z * l.z
+	}
+	l.rep.ResidualNorm = rnorm
+	l.rep.ATResidualNorm = arnorm
+
+	test1 := rnorm / l.bnorm
+	test2 := 0.0
+	if l.anorm > 0 && rnorm > 0 {
+		test2 = arnorm / (l.anorm * rnorm)
+	}
+	// A breakdown of the bidiagonalization (α = 0 or β = 0) exhausts the
+	// Krylov space, and x is exact over it.
+	l.rep.Converged = test1 <= lsqrTol+lsqrTol*l.anorm*l.xnorm/l.bnorm || test2 <= lsqrTol ||
+		alpha == 0 || beta == 0
+	return t1, t2
+}
+
+// LSQR solves min ‖A·x − b‖² by the Paige-Saunders Golub-Kahan
+// bidiagonalization method, returning the minimum-norm least-squares
+// solution (the same solution SolveMinNorm computes from a dense SVD:
+// LSQR iterates live in range(Aᵀ), which pins down the minimum-norm
+// member of the solution set). Each iteration costs one A·v and one
+// Aᵀ·u product, so for a sparse operator the total cost is
+// O(iterations · nnz) — for the routing systems of this repository
+// 118–149 iterations a bin unweighted and 357–737 for weighted
+// GeantLike bins (see MaxIter), versus a fresh O((L+2n)²·n²) Jacobi
+// SVD.
 //
 // The returned error reports shape mismatches only; hitting MaxIter is
 // reported through Report.Converged so callers can decide whether an
@@ -155,59 +253,28 @@ func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 	if len(b) != m {
 		return nil, LSQRReport{}, fmt.Errorf("%w: LSQR A %dx%d with b of %d", ErrShape, m, n, len(b))
 	}
-	atol, btol := opts.ATol, opts.BTol
-	if atol <= 0 {
-		atol = 1e-13
-	}
-	if btol <= 0 {
-		btol = 1e-13
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 4 * (m + n)
-	}
-	damp := opts.Damp
-
 	wk := opts.Work
 	if wk == nil {
 		wk = &LSQRWork{}
 	}
 	x, u, v, w, tmpu, tmpv := wk.vectors(m, n)
-	for i := range x {
-		x[i] = 0
-	}
+	clear(x)
 	copy(u, b)
 	beta := Norm2(u)
-	bnorm := beta
-	rep := LSQRReport{}
-	if beta == 0 {
-		// b = 0: x = 0 is the exact solution.
-		rep.Converged = true
-		return x, rep, nil
+	alpha := 0.0
+	if beta > 0 {
+		ScaleVec(1/beta, u)
+		a.TMulVecTo(v, u)
+		alpha = Norm2(v)
 	}
-	ScaleVec(1/beta, u)
-	a.TMulVecTo(v, u)
-	alpha := Norm2(v)
-	if alpha == 0 {
-		// Aᵀ·b = 0: x = 0 is already least-squares optimal.
-		rep.ResidualNorm = beta
-		rep.Converged = true
-		return x, rep, nil
+	var l lane
+	if l.start(beta, alpha) {
+		return x, l.rep, nil
 	}
 	ScaleVec(1/alpha, v)
 	copy(w, v)
 
-	var (
-		rhobar = alpha
-		phibar = beta
-		// Running estimates of ‖A‖_F, ‖r‖ split terms and ‖x‖.
-		anorm, xxnorm float64
-		res2, xnorm   float64
-		cs2, sn2, z   = -1.0, 0.0, 0.0
-	)
-
-	for iter := 1; iter <= maxIter; iter++ {
-		rep.Iterations = iter
+	for iter := opts.maxIter(m, n); iter > 0 && !l.rep.Converged; iter-- {
 		// Continue the bidiagonalization: β·u = A·v − α·u, then
 		// α·v = Aᵀ·u − β·v.
 		a.MulVecTo(tmpu, v)
@@ -226,77 +293,12 @@ func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 				ScaleVec(1/alpha, v)
 			}
 		}
-		anorm = math.Hypot(anorm, math.Hypot(alpha, math.Hypot(beta, damp)))
-
-		// Eliminate the damping term from the lower bidiagonal.
-		rhobar1 := rhobar
-		psi := 0.0
-		if damp > 0 {
-			rhobar1 = math.Hypot(rhobar, damp)
-			c1 := rhobar / rhobar1
-			s1 := damp / rhobar1
-			psi = s1 * phibar
-			phibar = c1 * phibar
-		}
-
-		// Plane rotation annihilating β, updating x and w.
-		rho := math.Hypot(rhobar1, beta)
-		c := rhobar1 / rho
-		s := beta / rho
-		theta := s * alpha
-		rhobar = -c * alpha
-		phi := c * phibar
-		phibar = s * phibar
-
-		t1 := phi / rho
-		t2 := -theta / rho
+		t1, t2 := l.step(alpha, beta)
 		for i := range x {
 			wi := w[i]
 			x[i] += t1 * wi
 			w[i] = v[i] + t2*wi
 		}
-
-		// Norm estimates for the stopping tests (Paige-Saunders §5.3;
-		// res2/psi track the damping contribution to the residual, and
-		// ‖x‖ comes from the right-rotation recurrence that eliminates
-		// the super-diagonal of the upper-bidiagonal system).
-		res2 = math.Hypot(res2, psi)
-		rnorm := math.Hypot(res2, phibar)
-		arnorm := alpha * math.Abs(s*phi)
-		delta := sn2 * rho
-		gambar := -cs2 * rho
-		rhs := phi - delta*z
-		if gambar != 0 {
-			zbar := rhs / gambar
-			xnorm = math.Sqrt(xxnorm + zbar*zbar)
-		}
-		gamma := math.Hypot(gambar, theta)
-		if gamma > 0 {
-			cs2 = gambar / gamma
-			sn2 = theta / gamma
-			z = rhs / gamma
-			xxnorm += z * z
-		}
-
-		rep.ResidualNorm = rnorm
-		rep.ATResidualNorm = arnorm
-
-		// Stopping tests.
-		test1 := rnorm / bnorm
-		test2 := 0.0
-		if anorm > 0 && rnorm > 0 {
-			test2 = arnorm / (anorm * rnorm)
-		}
-		if test1 <= btol+atol*anorm*xnorm/bnorm || test2 <= atol {
-			rep.Converged = true
-			return x, rep, nil
-		}
-		if alpha == 0 || beta == 0 {
-			// Bidiagonalization breakdown: the Krylov space is exhausted
-			// and x is exact over it.
-			rep.Converged = true
-			return x, rep, nil
-		}
 	}
-	return x, rep, nil
+	return x, l.rep, nil
 }

@@ -219,7 +219,7 @@ func runMulti(t *testing.T, h hash.Hash, a *Sparse, bs [][]float64, maxIter, sys
 	for c := range dst {
 		dst[c] = make([]float64, a.Cols())
 	}
-	reps, err := LSQRMulti(a, bs, dst, LSQRMultiOptions{MaxIter: maxIter})
+	reps, err := LSQRMulti(a, bs, dst, LSQROptions{MaxIter: maxIter})
 	if err != nil {
 		t.Fatalf("system %d, k=%d: %v", sys, len(bs), err)
 	}

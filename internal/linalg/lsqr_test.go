@@ -104,27 +104,6 @@ func TestLSQRZeroRHS(t *testing.T) {
 	}
 }
 
-func TestLSQRDampedShrinksSolution(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	a := randomSparseMatrix(r, 12, 8, 0.4)
-	b := make([]float64, 12)
-	for i := range b {
-		b[i] = r.NormFloat64()
-	}
-	s := sparseFromDense(a)
-	plain, _, err := LSQR(s, b, LSQROptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	damped, _, err := LSQR(s, b, LSQROptions{Damp: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Norm2(damped) >= Norm2(plain) {
-		t.Errorf("damped solution norm %g >= undamped %g", Norm2(damped), Norm2(plain))
-	}
-}
-
 func TestLSQRShapeError(t *testing.T) {
 	a := sparseFromDense(NewMatrix(3, 2))
 	if _, _, err := LSQR(a, make([]float64, 5), LSQROptions{}); !errors.Is(err, ErrShape) {

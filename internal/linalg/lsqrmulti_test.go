@@ -72,9 +72,10 @@ func TestMulMatToMatchesMulVecTo(t *testing.T) {
 }
 
 // TestTMulMatToMatchesTMulVecTo: LSQRMulti's fused transposed gather
-// (tmulGatherVUpdate in assign mode, over the cached transpose) against
-// TMulVecTo, lane by lane, bit for bit — including input vectors with
-// exact zeros (TMulVecTo skips them; the gather must still match).
+// (tmulGatherVUpdate over the cached transpose, from v = 0 with β = 0,
+// as LSQRMulti starts) against TMulVecTo, lane by lane, bit for bit —
+// including input vectors with exact zeros (TMulVecTo skips them; the
+// gather must still match).
 func TestTMulMatToMatchesTMulVecTo(t *testing.T) {
 	r := rand.New(rand.NewSource(92))
 	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17} {
@@ -92,8 +93,12 @@ func TestTMulMatToMatchesTMulVecTo(t *testing.T) {
 					}
 				}
 			}
+			upd := make([]bool, k)
+			for c := range upd {
+				upd[c] = true
+			}
 			dst := make([]float64, n*k)
-			tmulGatherVUpdate(s.transpose(), interleave(xs, m, k), dst, nil, nil, make([]float64, k), k, true)
+			tmulGatherVUpdate(s.transpose(), interleave(xs, m, k), dst, make([]float64, k), upd, make([]float64, k), k)
 			want := make([]float64, n)
 			for c := 0; c < k; c++ {
 				s.TMulVecTo(want, xs[c])
@@ -110,8 +115,8 @@ func TestTMulMatToMatchesTMulVecTo(t *testing.T) {
 
 // lsqrMultiVsStandalone solves the k systems both blocked and one at a
 // time with identical options and demands bit-identical solutions and
-// reports.
-func lsqrMultiVsStandalone(t *testing.T, s *Sparse, bs [][]float64, opts LSQRMultiOptions) {
+// reports. It returns the reports.
+func lsqrMultiVsStandalone(t *testing.T, s *Sparse, bs [][]float64, opts LSQROptions) []LSQRReport {
 	t.Helper()
 	k := len(bs)
 	dst := make([][]float64, k)
@@ -123,10 +128,7 @@ func lsqrMultiVsStandalone(t *testing.T, s *Sparse, bs [][]float64, opts LSQRMul
 		t.Fatal(err)
 	}
 	for c := 0; c < k; c++ {
-		want, wantRep, err := LSQR(s, bs[c], LSQROptions{
-			Damp: opts.Damp, ATol: opts.ATol, BTol: opts.BTol,
-			MaxIter: opts.MaxIter,
-		})
+		want, wantRep, err := LSQR(s, bs[c], LSQROptions{MaxIter: opts.MaxIter})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,50 +141,79 @@ func lsqrMultiVsStandalone(t *testing.T, s *Sparse, bs [][]float64, opts LSQRMul
 			}
 		}
 	}
+	return reps
+}
+
+// mixedSystem returns a random sparse m×n operator (m, n ≥ 4) whose
+// top-left 2×2 block is a decoupled diagonal and whose last row is
+// empty, with k right-hand sides that end every way a lane can: lane 0
+// is random, lane 1 is b = 0, lane 2 touches one diagonal row and lane 3
+// both (the Krylov space is exhausted after one and two iterations),
+// lane 4 lives on the empty row (Aᵀ·b = 0), and the rest are random,
+// scaled by lane.
+func mixedSystem(r *rand.Rand, m, n, k int) (*Sparse, [][]float64) {
+	a := randomSparseMatrix(r, m, n, 0.3)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			if (i < 2 || j < 2) && i != j || i == m-1 {
+				a.Set(i, j, 0)
+			}
+		}
+	}
+	a.Set(0, 0, 2)
+	a.Set(1, 1, 3)
+	bs := randomVecs(r, k, m)
+	for c := 1; c < min(k, 5); c++ {
+		clear(bs[c])
+	}
+	if k > 2 {
+		bs[2][0] = 1.5
+	}
+	if k > 3 {
+		bs[3][0], bs[3][1] = 0.5, -2
+	}
+	if k > 4 {
+		bs[4][m-1] = 1
+	}
+	return sparseFromDense(a), bs
 }
 
 // TestLSQRMultiMatchesLSQRBitwise is the blocked driver's core contract:
 // every lane of a cold blocked solve is bit-identical — solution and
 // report — to a standalone LSQR on that system, across block widths
-// spanning the 8/4/1 lane tiles, with staggered per-lane convergence and
-// an all-zero right-hand side in the mix.
+// spanning the 8/4/1 lane tiles and iteration budgets from the default
+// down to one, with lanes that converge at staggered iterations, stall
+// at MaxIter, start at b = 0 or Aᵀ·b = 0, or exhaust their Krylov space
+// early, all in one block.
 func TestLSQRMultiMatchesLSQRBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(93))
-	for _, k := range []int{1, 2, 3, 5, 8, 9, 13} {
-		for trial := 0; trial < 4; trial++ {
-			m, n := 4+r.Intn(24), 4+r.Intn(24)
-			s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
-			bs := randomVecs(r, k, m)
-			if k > 2 {
-				// A zero lane converges instantly; the others must run on
-				// unperturbed.
-				for j := range bs[k-1] {
-					bs[k-1][j] = 0
+	stalled, converged := 0, 0
+	for _, k := range []int{1, 2, 3, 5, 8, 9, 13, 17} {
+		for _, maxIter := range []int{0, 1, 2, 3, 5, 11} {
+			for trial := 0; trial < 3; trial++ {
+				s, bs := mixedSystem(r, 5+r.Intn(24), 5+r.Intn(24), k)
+				for _, rep := range lsqrMultiVsStandalone(t, s, bs, LSQROptions{MaxIter: maxIter}) {
+					if !rep.Converged {
+						stalled++
+					} else if rep.Iterations > 0 {
+						converged++
+					}
 				}
 			}
-			lsqrMultiVsStandalone(t, s, bs, LSQRMultiOptions{})
 		}
 	}
-}
-
-// TestLSQRMultiDampedMatchesLSQR: the per-lane damping rotations must
-// reproduce the standalone damped recurrence bit for bit.
-func TestLSQRMultiDampedMatchesLSQR(t *testing.T) {
-	r := rand.New(rand.NewSource(95))
-	for trial := 0; trial < 6; trial++ {
-		m, n := 6+r.Intn(20), 6+r.Intn(20)
-		s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
-		bs := randomVecs(r, 3+r.Intn(6), m)
-		lsqrMultiVsStandalone(t, s, bs, LSQRMultiOptions{Damp: 0.5})
+	if stalled == 0 || converged == 0 {
+		t.Fatalf("%d lanes stalled and %d converged after iterating; the corpus must have both", stalled, converged)
 	}
 }
 
-// TestLSQRMultiWorkReuseBitwise: one LSQRMultiWork carried across solves
-// of different shapes and block widths must never change a result —
-// buffers are fully overwritten before being read.
+// TestLSQRMultiWorkReuseBitwise: one LSQRWork carried across blocked
+// solves of different shapes and block widths, with single-system LSQR
+// solves in between, must never change a result — buffers are fully
+// overwritten before being read.
 func TestLSQRMultiWorkReuseBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(96))
-	var wk LSQRMultiWork
+	var wk LSQRWork
 	for trial := 0; trial < 8; trial++ {
 		m, n := 4+r.Intn(24), 4+r.Intn(24)
 		s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
@@ -194,11 +225,11 @@ func TestLSQRMultiWorkReuseBitwise(t *testing.T) {
 			fresh[c] = make([]float64, n)
 			reused[c] = make([]float64, n)
 		}
-		freshReps, err := LSQRMulti(s, bs, fresh, LSQRMultiOptions{})
+		freshReps, err := LSQRMulti(s, bs, fresh, LSQROptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		reusedReps, err := LSQRMulti(s, bs, reused, LSQRMultiOptions{Work: &wk})
+		reusedReps, err := LSQRMulti(s, bs, reused, LSQROptions{Work: &wk})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,6 +241,22 @@ func TestLSQRMultiWorkReuseBitwise(t *testing.T) {
 				if math.Float64bits(fresh[c][j]) != math.Float64bits(reused[c][j]) {
 					t.Fatalf("trial %d lane %d: work reuse changed x[%d]", trial, c, j)
 				}
+			}
+		}
+		want, wantRep, err := LSQR(s, bs[0], LSQROptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gotRep, err := LSQR(s, bs[0], LSQROptions{Work: &wk})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotRep != wantRep {
+			t.Fatalf("trial %d: LSQR report %+v after a blocked solve, fresh %+v", trial, gotRep, wantRep)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d: a blocked solve's leftovers changed LSQR's x[%d]", trial, j)
 			}
 		}
 	}
@@ -225,18 +272,18 @@ func TestLSQRMultiShapeErrors(t *testing.T) {
 		name string
 		bs   [][]float64
 		dst  [][]float64
-		opts LSQRMultiOptions
+		opts LSQROptions
 	}{
-		{"dst count", good, dst[:1], LSQRMultiOptions{}},
-		{"b length", [][]float64{make([]float64, 5), good[1]}, dst, LSQRMultiOptions{}},
-		{"dst length", good, [][]float64{make([]float64, 3), dst[1]}, LSQRMultiOptions{}},
+		{"dst count", good, dst[:1], LSQROptions{}},
+		{"b length", [][]float64{make([]float64, 5), good[1]}, dst, LSQROptions{}},
+		{"dst length", good, [][]float64{make([]float64, 3), dst[1]}, LSQROptions{}},
 	}
 	for _, tc := range cases {
 		if _, err := LSQRMulti(s, tc.bs, tc.dst, tc.opts); !errors.Is(err, ErrShape) {
 			t.Errorf("%s: err = %v, want ErrShape", tc.name, err)
 		}
 	}
-	reps, err := LSQRMulti(s, nil, nil, LSQRMultiOptions{})
+	reps, err := LSQRMulti(s, nil, nil, LSQROptions{})
 	if err != nil || reps != nil {
 		t.Errorf("empty block: reps %v, err %v", reps, err)
 	}
