@@ -1096,3 +1096,86 @@ func BenchmarkEngineStoreWarmOpen(b *testing.B) {
 		}
 	}
 }
+
+// --- LSQR kernel benchmarks (the projection's solver alone) ---
+
+// benchResiduals returns a scenario's routing matrix and, for each of
+// its first bins, the unweighted projection's right-hand side
+// y − R·gravity: what the estimator hands LSQR for a clean bin.
+func benchResiduals(b *testing.B, sc synth.Scenario, bins int) (*linalg.Sparse, [][]float64) {
+	b.Helper()
+	sc.BinsPerWeek = bins
+	sc.Weeks = 1
+	d, err := synth.Generate(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := sc.Topology().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rm, err := routing.Build(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make([][]float64, bins)
+	for t := range out {
+		x := d.Series.At(t)
+		y, err := rm.LinkLoads(x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prior, err := GravityFromMarginals(x.Ingress(), x.Egress())
+		if err != nil {
+			b.Fatal(err)
+		}
+		fit, err := rm.CSR().MulVec(prior.Vec())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := range fit {
+			fit[i] = y[i] - fit[i]
+		}
+		out[t] = fit
+	}
+	return rm.CSR(), out
+}
+
+// BenchmarkLSQRGeant measures one LSQR solve of a GeantLike bin's
+// residual: the single-system driver behind every masked, weighted or
+// lone bin.
+func BenchmarkLSQRGeant(b *testing.B) {
+	a, bs := benchResiduals(b, synth.GeantLike(), 1)
+	var wk linalg.LSQRWork
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, rep, err := linalg.LSQR(a, bs[0], linalg.LSQROptions{Work: &wk}); err != nil || !rep.Converged {
+			b.Fatalf("LSQR: %+v, %v", rep, err)
+		}
+	}
+}
+
+// BenchmarkLSQRMulti16ISP100 measures one blocked LSQRMulti solve of 16
+// ISPLike(100) residuals: the widest block the estimator forms.
+func BenchmarkLSQRMulti16ISP100(b *testing.B) {
+	a, bs := benchResiduals(b, synth.ISPLike(100), 16)
+	dst := make([][]float64, len(bs))
+	for c := range dst {
+		dst[c] = make([]float64, a.Cols())
+	}
+	var wk linalg.LSQRWork
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reps, err := linalg.LSQRMulti(a, bs, dst, linalg.LSQROptions{Work: &wk})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rep := range reps {
+			if !rep.Converged {
+				b.Fatalf("LSQRMulti lane: %+v", rep)
+			}
+		}
+	}
+}
