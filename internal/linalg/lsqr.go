@@ -67,9 +67,10 @@ func (c *ColScaled) TMulVecTo(dst, x []float64) {
 type LSQROptions struct {
 	// MaxIter bounds the iterations of every system; zero selects
 	// 4·(Rows+Cols), far above what the routing systems this repository
-	// solves take. Over a day of bins, GeantLike (188×484, budget 2688)
-	// takes 118–123 iterations a bin unweighted and 357–737 weighted;
-	// ISPLike(100) (472×10000, budget 41888) takes 145–149 unweighted.
+	// solves take. Over 24 bins with gravity and IC priors, GeantLike
+	// (188×484, budget 2688) takes 118–123 iterations a bin unweighted
+	// and 357–737 weighted; ISPLike(100) (472×10000, budget 41888) takes
+	// 145–149 unweighted.
 	MaxIter int
 	// Work, when non-nil, supplies the solve's working storage so
 	// steady-state callers allocate nothing per solve. LSQR's returned

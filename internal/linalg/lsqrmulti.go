@@ -188,16 +188,14 @@ func normLanes(v []float64, rows, k int, maxs, ssq, norm []float64) {
 
 // ssqLanes finishes a lane norm given the lane maxima: norm[c] =
 // maxs[c]·sqrt(Σ (x/maxs[c])²), or 0 when the lane is all zero. A
-// non-nil upd restricts it to lanes with upd[c] set; the others keep
-// their previous norm value untouched.
+// non-nil upd restricts the result to lanes with upd[c] set: the others
+// keep their previous norm value untouched, and their sums, taken over
+// a stale maximum, are discarded.
 func ssqLanes(v []float64, rows, k int, maxs, ssq, norm []float64, upd []bool) {
 	clear(ssq[:k])
 	for o := 0; o < rows*k; o += k {
 		vs := v[o : o+k]
 		for c, xv := range vs {
-			if upd != nil && !upd[c] {
-				continue
-			}
 			if mx := maxs[c]; mx > 0 {
 				t := xv / mx
 				ssq[c] += t * t
