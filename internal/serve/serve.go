@@ -1191,12 +1191,12 @@ func (e *Engine) EstimateBatchInline(ctx context.Context, spec StreamSpec, bins 
 // attached store: every stored topology registration is adopted, with
 // its routing matrix decoded straight into the solver pool, and every
 // stored prior record of a restored topology re-validated and
-// re-instantiated — so a restarted
-// replica serves all previously registered sessions without a single
-// routing.Build. Damaged or stale records are skipped (the store counts
-// them as corrupt); registrations beyond the LRU bounds stay on disk,
-// where registry read-through finds them on demand. Call before serving
-// traffic; it returns the number of topologies and priors restored.
+// re-instantiated — so a restarted replica serves all previously
+// registered sessions without a single routing.Build. Damaged or stale
+// records are skipped (the store counts them as corrupt); registrations
+// beyond the LRU bounds stay on disk, where registry read-through finds
+// them on demand. Call before serving traffic; it returns the number of
+// topologies and priors restored.
 func (e *Engine) WarmStart() (topos, priors int, err error) {
 	if e.store == nil {
 		return 0, 0, errors.New("serve: warm start requires an attached store (WithStore)")
