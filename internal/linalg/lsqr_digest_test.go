@@ -50,6 +50,10 @@ func hashSolve(h hash.Hash, x []float64, rep LSQRReport) {
 	h.Write(buf)
 }
 
+// digestRandom is the number of random systems leading the digest
+// corpus; the special systems follow them.
+const digestRandom = 12
+
 // digestSystem is one system of the digest corpus.
 type digestSystem struct {
 	a *Sparse
@@ -66,7 +70,7 @@ type digestSystem struct {
 func digestCorpus() []digestSystem {
 	r := rand.New(rand.NewSource(2406))
 	var out []digestSystem
-	for trial := 0; trial < 12; trial++ {
+	for trial := 0; trial < digestRandom; trial++ {
 		m, n := 3+r.Intn(28), 3+r.Intn(28)
 		d := randomSparseMatrix(r, m, n, 0.3)
 		if trial%4 == 0 {
@@ -157,7 +161,7 @@ func TestLSQRDigestsPinned(t *testing.T) {
 		return func(h hash.Hash) {
 			r := rand.New(rand.NewSource(8))
 			for _, k := range []int{1, 3, 4, 5, 8, 9, 13, 17} {
-				for i, sys := range corpus[:12] {
+				for i, sys := range corpus[:digestRandom] {
 					m := sys.a.Rows()
 					bs := randomVecs(r, k, m)
 					if k >= 3 {
