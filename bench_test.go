@@ -413,13 +413,13 @@ func BenchmarkEstimateSeriesWarm200(b *testing.B) { benchEstimateSeriesISPLike(b
 
 // --- topology-mutation benchmarks (incremental patch vs full rebuild) ---
 
-// benchPatchSetup builds the live-mutation fixture: the ISPLike(100)
+// benchPatchSetup builds the live-mutation fixture: the ISPLike(n)
 // backbone-stub graph, its routing matrix, an estimation session with
 // registered priors, and a single-link flap delta (the first event of
 // the scenario's deterministic failure schedule).
-func benchPatchSetup(b *testing.B) (*Graph, *RoutingMatrix, *Estimator, TopologyDelta) {
+func benchPatchSetup(b *testing.B, n int) (*Graph, *RoutingMatrix, *Estimator, TopologyDelta) {
 	b.Helper()
-	sc := synth.ISPLike(100)
+	sc := synth.ISPLike(n)
 	g, err := topology.BackboneStub(sc.N, 0, sc.Seed)
 	if err != nil {
 		b.Fatal(err)
@@ -452,14 +452,20 @@ func benchPatchPriors() []PriorState {
 }
 
 // BenchmarkTopologyPatch measures the live-mutation path a single-link
-// failure costs an open estimation session: routing.Patch (2n Dijkstra
-// sweeps per side + fraction passes for the touched pairs only, where a
-// rebuild runs one for all n² pairs) followed by Estimator.Rebase (prior
-// instances reused, nothing re-validated). The incremental-patch
-// acceptance criterion requires >= 10x over BenchmarkTopologyRebuild at
-// this scale.
-func BenchmarkTopologyPatch(b *testing.B) {
-	g, rm, est, delta := benchPatchSetup(b)
+// failure costs an open estimation session at n=100: routing.Patch
+// (shortest-path rows repaired off the base graph's cached tables,
+// fraction passes for the touched pairs only, one O(nnz) CSR merge)
+// followed by Estimator.Rebase (prior instances reused, nothing
+// re-validated). The incremental-patch acceptance criterion requires
+// >= 10x over BenchmarkTopologyRebuild at this scale.
+func BenchmarkTopologyPatch(b *testing.B) { benchTopologyPatch(b, 100) }
+
+// BenchmarkTopologyPatch40 is the same patch at n=40, the size of the
+// isp-churn benchmark's topologies. Ungated.
+func BenchmarkTopologyPatch40(b *testing.B) { benchTopologyPatch(b, 40) }
+
+func benchTopologyPatch(b *testing.B, n int) {
+	g, rm, est, delta := benchPatchSetup(b, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -475,11 +481,11 @@ func BenchmarkTopologyPatch(b *testing.B) {
 
 // BenchmarkTopologyRebuild measures the same mutation from scratch on
 // identical inputs: apply the delta, rebuild the full routing matrix
-// (2n Dijkstra sweeps + n² ECMP fraction passes), open a fresh
-// estimation session, and re-register the priors — the only way to
-// follow a topology change before the delta pipeline.
+// (2n Dijkstra sweeps + n² ECMP fraction passes on one router), open a
+// fresh estimation session, and re-register the priors — the only way
+// to follow a topology change before the delta pipeline.
 func BenchmarkTopologyRebuild(b *testing.B) {
-	g, _, _, delta := benchPatchSetup(b)
+	g, _, _, delta := benchPatchSetup(b, 100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -499,6 +505,25 @@ func BenchmarkTopologyRebuild(b *testing.B) {
 			if _, err := est.RegisterPrior(st); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkRoutingBuild100 measures routing.Build alone on the
+// ISPLike(100) topology, the build an isp100-backfill registration
+// pays: 2n Dijkstra sweeps, n² ECMP fraction passes, CSR assembly.
+// Build never reads the graph's cached tables, so repeating it on one
+// graph costs what a fresh registration does. Ungated.
+func BenchmarkRoutingBuild100(b *testing.B) {
+	g, err := synth.ISPLike(100).Topology().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := routing.Build(g); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

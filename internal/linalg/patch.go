@@ -44,18 +44,20 @@ func (s *Sparse) Equal(o *Sparse) bool {
 //
 // srcRow maps each output row to the receiver row it carries entries
 // from (-1 starts the row empty). drop, if non-nil, filters the carried
-// entries: a stored entry of source row src at column col is omitted
-// when drop(src, col) is true. add lists extra entries per output row
-// (nil for none): each add[r] must hold entries of Row r with strictly
-// increasing in-range columns; zero-valued adds are dropped, matching
-// NewSparse. An add column colliding with a surviving carried entry is a
-// duplicate, exactly as in NewSparse.
+// entries: drop(src) returns a column mask for source row src (nil keeps
+// the whole row), and a stored entry at column col is omitted when
+// mask[col] is true; the mask must cover the receiver's columns. add
+// lists extra entries per output row (nil for none): each add[r] must
+// hold entries of Row r with strictly increasing in-range columns;
+// zero-valued adds are dropped, matching NewSparse. An add column
+// colliding with a surviving carried entry is a duplicate, exactly as in
+// NewSparse.
 //
 // The output is bit-identical to NewSparse over the equivalent entry
 // set — same canonical ordering, same dropped zeros — in O(nnz) with no
 // sorting, because carried rows are already ordered and adds are merged
-// in place.
-func (s *Sparse) PatchRows(rows, cols int, srcRow []int, drop func(src, col int) bool, add [][]Coord) (*Sparse, error) {
+// in place. A row with neither a mask nor adds is copied in bulk.
+func (s *Sparse) PatchRows(rows, cols int, srcRow []int, drop func(src int) []bool, add [][]Coord) (*Sparse, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("%w: sparse %dx%d", ErrShape, rows, cols)
 	}
@@ -79,12 +81,16 @@ func (s *Sparse) PatchRows(rows, cols int, srcRow []int, drop func(src, col int)
 	for r := 0; r < rows; r++ {
 		var cc []int
 		var cv []float64
+		var mask []bool
 		src := srcRow[r]
 		switch {
 		case src == -1:
 			// fresh row
 		case src >= 0 && src < s.rows:
 			cc, cv = s.RowEntries(src)
+			if drop != nil {
+				mask = drop(src)
+			}
 		default:
 			return nil, fmt.Errorf("%w: patched row %d sourced from row %d of a %dx%d matrix", ErrShape, r, src, s.rows, s.cols)
 		}
@@ -92,45 +98,68 @@ func (s *Sparse) PatchRows(rows, cols int, srcRow []int, drop func(src, col int)
 		if add != nil {
 			adds = add[r]
 		}
-		ci, ai := 0, 0
-		prevAddCol := -1
-		for ci < len(cc) || ai < len(adds) {
-			if ci < len(cc) && drop != nil && drop(src, cc[ci]) {
-				ci++
-				continue
+		ci, prev := 0, -1
+		for _, a := range adds {
+			if a.Row != r {
+				return nil, fmt.Errorf("%w: add entry (%d,%d) listed under patched row %d", ErrShape, a.Row, a.Col, r)
 			}
-			if ai < len(adds) {
-				a := adds[ai]
-				if a.Row != r {
-					return nil, fmt.Errorf("%w: add entry (%d,%d) listed under patched row %d", ErrShape, a.Row, a.Col, r)
-				}
-				if a.Col < 0 || a.Col >= cols {
-					return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrShape, a.Row, a.Col, rows, cols)
-				}
-				if a.Col <= prevAddCol {
-					return nil, fmt.Errorf("%w: add entries of row %d not strictly increasing at col %d", ErrShape, r, a.Col)
-				}
-				if ci >= len(cc) || a.Col <= cc[ci] {
-					if ci < len(cc) && a.Col == cc[ci] && a.Val != 0 {
-						return nil, fmt.Errorf("%w: duplicate entry (%d,%d)", ErrShape, r, a.Col)
-					}
-					prevAddCol = a.Col
-					ai++
-					if a.Val != 0 {
-						out.colIdx = append(out.colIdx, a.Col)
-						out.val = append(out.val, a.Val)
-					}
-					continue
-				}
+			if a.Col < 0 || a.Col >= cols {
+				return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrShape, a.Row, a.Col, rows, cols)
 			}
-			if cc[ci] >= cols {
-				return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrShape, r, cc[ci], rows, cols)
+			if a.Col <= prev {
+				return nil, fmt.Errorf("%w: add entries of row %d not strictly increasing at col %d", ErrShape, r, a.Col)
 			}
-			out.colIdx = append(out.colIdx, cc[ci])
-			out.val = append(out.val, cv[ci])
-			ci++
+			prev = a.Col
+			// Carried entries left of the add; a.Col < cols bounds them.
+			end := ci
+			for end < len(cc) && cc[end] < a.Col {
+				end++
+			}
+			out.colIdx, out.val = appendKept(out.colIdx, out.val, cc[ci:end], cv[ci:end], mask)
+			ci = end
+			if a.Val == 0 {
+				continue // a carried entry in its column stays
+			}
+			if ci < len(cc) && cc[ci] == a.Col && (mask == nil || !mask[a.Col]) {
+				return nil, fmt.Errorf("%w: duplicate entry (%d,%d)", ErrShape, r, a.Col)
+			}
+			out.colIdx = append(out.colIdx, a.Col)
+			out.val = append(out.val, a.Val)
 		}
+		// The rest of the row, up to the first column past the new width,
+		// which only a drop may remove.
+		end := len(cc)
+		for end > ci && cc[end-1] >= cols {
+			end--
+		}
+		for _, c := range cc[end:] {
+			if mask == nil || !mask[c] {
+				return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrShape, r, c, rows, cols)
+			}
+		}
+		out.colIdx, out.val = appendKept(out.colIdx, out.val, cc[ci:end], cv[ci:end], mask)
 		out.rowPtr[r+1] = len(out.val)
 	}
 	return out, nil
+}
+
+// appendKept appends the entries of cc/cv whose column mask does not
+// drop (all of them for a nil mask), copying each run of kept entries
+// in bulk.
+func appendKept(dc []int, dv []float64, cc []int, cv []float64, mask []bool) ([]int, []float64) {
+	for len(cc) > 0 {
+		k := len(cc)
+		if mask != nil {
+			k = 0
+			for k < len(cc) && !mask[cc[k]] {
+				k++
+			}
+		}
+		dc, dv = append(dc, cc[:k]...), append(dv, cv[:k]...)
+		if k < len(cc) {
+			k++ // the dropped entry
+		}
+		cc, cv = cc[k:], cv[k:]
+	}
+	return dc, dv
 }

@@ -111,13 +111,19 @@ func TestPatchRowsMatchesNewSparse(t *testing.T) {
 		for r := range srcRow {
 			srcRow[r] = rng.Intn(rows+1) - 1 // -1..rows-1
 		}
-		dropCol := map[int]bool{}
+		dropCol := make([]bool, cols)
 		for c := 0; c < cols; c++ {
 			if rng.Intn(3) == 0 {
 				dropCol[c] = true
 			}
 		}
-		drop := func(src, col int) bool { return dropCol[col] }
+		// Odd source rows carry whole, even ones through the mask.
+		drop := func(src int) []bool {
+			if src%2 == 1 {
+				return nil
+			}
+			return dropCol
+		}
 
 		add := make([][]Coord, outRows)
 		want := []Coord{}
@@ -126,7 +132,7 @@ func TestPatchRowsMatchesNewSparse(t *testing.T) {
 			if srcRow[r] >= 0 {
 				cc, cv := s.RowEntries(srcRow[r])
 				for i, c := range cc {
-					if !dropCol[c] {
+					if srcRow[r]%2 == 1 || !dropCol[c] {
 						carried[c] = true
 						want = append(want, Coord{Row: r, Col: c, Val: cv[i]})
 					}
@@ -174,7 +180,7 @@ func TestPatchRowsShrinkCols(t *testing.T) {
 	if _, err := s.PatchRows(1, 2, []int{0}, nil, nil); !errors.Is(err, ErrShape) {
 		t.Fatalf("carry past cols: err = %v, want ErrShape", err)
 	}
-	got, err = s.PatchRows(1, 2, []int{0}, func(src, col int) bool { return col >= 2 }, nil)
+	got, err = s.PatchRows(1, 2, []int{0}, func(int) []bool { return []bool{false, false, true, true} }, nil)
 	if err != nil || got.NNZ() != 1 {
 		t.Fatalf("drop past cols: %v, nnz %d", err, got.NNZ())
 	}
@@ -209,7 +215,7 @@ func TestPatchRowsValidation(t *testing.T) {
 	}
 	// A dropped carried entry frees its column for an add.
 	got, err := s.PatchRows(1, 3, []int{0},
-		func(src, col int) bool { return col == 1 },
+		func(int) []bool { return []bool{false, true, false} },
 		[][]Coord{{{Row: 0, Col: 1, Val: 9}}})
 	if err != nil {
 		t.Fatalf("replace via drop+add: %v", err)

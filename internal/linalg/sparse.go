@@ -42,59 +42,71 @@ type Coord struct {
 // without materializing a dense intermediate — the construction path for
 // routing matrices at hundred-node scale, where the dense form alone
 // costs hundreds of megabytes. Zero-valued entries are dropped, so NNZ
-// counts exactly the nonzero entries; entries are sorted by
+// counts exactly the nonzero entries; entries are ordered by
 // (row, col), so the stored order — and therefore every accumulation
 // order downstream — is independent of input order. Out-of-range and
 // duplicate (row, col) entries are errors: the callers of this
 // repository never legitimately produce them, and summing duplicates
 // would make float results depend on input order.
+//
+// Entries are bucketed into rows by a counting pass, keeping input order
+// within a row, and only a row whose columns arrive out of order is
+// sorted: input already in column order (routing.Build's) costs O(nnz).
 func NewSparse(rows, cols int, entries []Coord) (*Sparse, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("%w: sparse %dx%d", ErrShape, rows, cols)
 	}
-	kept := make([]Coord, 0, len(entries))
+	s := &Sparse{rows: rows, cols: cols, rowPtr: make([]int, rows+1)}
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return nil, fmt.Errorf("%w: entry (%d,%d) outside %dx%d", ErrShape, e.Row, e.Col, rows, cols)
 		}
 		if e.Val != 0 {
-			kept = append(kept, e)
+			s.rowPtr[e.Row+1]++
 		}
 	}
-	// (row, col) pairs are unique after the duplicate check below, so this
-	// comparison is a strict total order and the sort is deterministic.
-	sort.Slice(kept, func(a, b int) bool {
-		if kept[a].Row != kept[b].Row {
-			return kept[a].Row < kept[b].Row
-		}
-		return kept[a].Col < kept[b].Col
-	})
-	s := &Sparse{
-		rows:   rows,
-		cols:   cols,
-		rowPtr: make([]int, rows+1),
-		colIdx: make([]int, len(kept)),
-		val:    make([]float64, len(kept)),
+	for i := 0; i < rows; i++ {
+		s.rowPtr[i+1] += s.rowPtr[i]
 	}
-	for k, e := range kept {
-		if k > 0 && kept[k-1].Row == e.Row && kept[k-1].Col == e.Col {
-			return nil, fmt.Errorf("%w: duplicate entry (%d,%d)", ErrShape, e.Row, e.Col)
-		}
-		s.colIdx[k] = e.Col
-		s.val[k] = e.Val
-	}
-	row := 0
-	for k, e := range kept {
-		for row < e.Row {
-			row++
-			s.rowPtr[row] = k
+	nnz := s.rowPtr[rows]
+	s.colIdx = make([]int, nnz)
+	s.val = make([]float64, nnz)
+	next := make([]int, rows)
+	copy(next, s.rowPtr[:rows])
+	for _, e := range entries {
+		if e.Val != 0 {
+			s.colIdx[next[e.Row]] = e.Col
+			s.val[next[e.Row]] = e.Val
+			next[e.Row]++
 		}
 	}
-	for row < rows {
-		row++
-		s.rowPtr[row] = len(kept)
+	for i := 0; i < rows; i++ {
+		row := rowSlice{s.colIdx[s.rowPtr[i]:s.rowPtr[i+1]], s.val[s.rowPtr[i]:s.rowPtr[i+1]]}
+		if !sort.IsSorted(row) {
+			// Columns are unique after the duplicate check below, so
+			// the order is total and the sort deterministic.
+			sort.Sort(row)
+		}
+		for k := 1; k < len(row.col); k++ {
+			if row.col[k-1] == row.col[k] {
+				return nil, fmt.Errorf("%w: duplicate entry (%d,%d)", ErrShape, i, row.col[k])
+			}
+		}
 	}
 	return s, nil
+}
+
+// rowSlice sorts one CSR row's entries by column.
+type rowSlice struct {
+	col []int
+	val []float64
+}
+
+func (r rowSlice) Len() int           { return len(r.col) }
+func (r rowSlice) Less(a, b int) bool { return r.col[a] < r.col[b] }
+func (r rowSlice) Swap(a, b int) {
+	r.col[a], r.col[b] = r.col[b], r.col[a]
+	r.val[a], r.val[b] = r.val[b], r.val[a]
 }
 
 // Rows returns the number of rows.

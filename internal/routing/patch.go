@@ -15,9 +15,16 @@ import (
 // Build; all pairs routable). The result is bitwise-identical to
 // Build(g.Apply(delta)) — same CSR values, same stored order, and the
 // same error on the same first pair if the delta disconnects the
-// graph — but costs 2n Dijkstra sweeps per side, fraction passes for the
-// touched pairs only and an O(nnz) merge, where Build runs a fraction
-// pass for every one of the n² pairs.
+// graph — but repairs only the shortest-path rows the delta can change,
+// runs fraction passes for the touched pairs only and merges in O(nnz),
+// where Build runs 2n Dijkstra sweeps and a fraction pass for every one
+// of the n² pairs.
+//
+// The old side's tables are g's cached ones (Graph.Dists: filled by the
+// Build or Patch that produced g; a graph rebuilt from its spec sweeps
+// once). The new side's come from Graph.DistsAfter, which shares every
+// row whose shortest-path DAG the delta leaves intact and repairs the
+// rest, and stay cached on the returned graph for the next Patch.
 //
 // A pair (i,j) is recomputed when any evidence of change exists:
 //
@@ -35,7 +42,7 @@ import (
 // vector-level, because a changed node off both DAGs cannot alter the
 // pair's flow computation: every endpoint of an eps-DAG edge is itself
 // an eps-DAG node (triangle inequality), so no edge-membership test can
-// flip; ECMPFractionsDist reads distances only at member endpoints plus
+// flip; ECMPRouter reads distances only at member endpoints plus
 // from[i][j] (and j, i are always eps-DAG nodes, so a changed from[i][j]
 // or to[j][i] marks the pair); and its processing order places each node
 // by its own (distance, ID) alone.
@@ -51,14 +58,15 @@ func Patch(m *Matrix, g *topology.Graph, delta topology.Delta) (*Matrix, *topolo
 	}
 	oldL, newL := g.NumEdges(), ng.NumEdges()
 
-	oldFrom, oldTo, err := allDists(g)
+	old, err := g.Dists()
 	if err != nil {
 		return nil, nil, err
 	}
-	newFrom, newTo, err := allDists(ng)
+	nd, err := ng.DistsAfter(g, edgeMap)
 	if err != nil {
 		return nil, nil, err
 	}
+	oldFrom, oldTo, newFrom, newTo := old.From, old.To, nd.From, nd.To
 	// Per-node change lists: srcChanged[i] holds the nodes whose
 	// distance from i changed bitwise, dstChanged[j] the nodes whose
 	// distance to j changed. A delta localized to one region leaves
@@ -67,14 +75,8 @@ func Patch(m *Matrix, g *topology.Graph, delta topology.Delta) (*Matrix, *topolo
 	srcChanged := make([][]int, n)
 	dstChanged := make([][]int, n)
 	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if math.Float64bits(oldFrom[u][v]) != math.Float64bits(newFrom[u][v]) {
-				srcChanged[u] = append(srcChanged[u], v)
-			}
-			if math.Float64bits(oldTo[u][v]) != math.Float64bits(newTo[u][v]) {
-				dstChanged[u] = append(dstChanged[u], v)
-			}
-		}
+		srcChanged[u] = changedNodes(oldFrom[u], newFrom[u])
+		dstChanged[u] = changedNodes(oldTo[u], newTo[u])
 	}
 
 	// Row plan for the patched CSR, and the delta's edge sets: old rows
@@ -121,46 +123,27 @@ func Patch(m *Matrix, g *topology.Graph, delta topology.Delta) (*Matrix, *topolo
 		}
 	}
 	const eps = 1e-9
-	// onPairDAG: node v lies on the eps-tolerant shortest-path DAG of
-	// (i,j) under the given distance tables, with ECMPFractionsDist's
-	// tolerance (relative to the pair's distance, same float expression).
-	onPairDAG := func(from, to []float64, v int, total float64) bool {
-		return from[v]+to[v] <= total+eps*total
-	}
 	for i := 0; i < n; i++ {
+		of, nf := oldFrom[i], newFrom[i]
 		for j := 0; j < n; j++ {
-			if i == j {
+			col := tm.PairIndex(n, i, j)
+			if i == j || touched[col] {
 				continue
 			}
-			col := tm.PairIndex(n, i, j)
-			if math.IsInf(newFrom[i][j], 1) {
+			if math.IsInf(nf[j], 1) {
 				touched[col] = true
 				continue
 			}
-			if touched[col] {
-				continue
-			}
-			for _, v := range srcChanged[i] {
-				if onPairDAG(oldFrom[i], oldTo[j], v, oldFrom[i][j]) ||
-					onPairDAG(newFrom[i], newTo[j], v, newFrom[i][j]) {
-					touched[col] = true
-					break
-				}
-			}
-			if !touched[col] {
-				for _, v := range dstChanged[j] {
-					if onPairDAG(oldFrom[i], oldTo[j], v, oldFrom[i][j]) ||
-						onPairDAG(newFrom[i], newTo[j], v, newFrom[i][j]) {
-						touched[col] = true
-						break
-					}
-				}
-			}
-			if touched[col] {
+			// The pair totals with ECMPRouter's tolerance (relative to
+			// the pair's distance, same float expression).
+			ob, nb := of[j]+eps*of[j], nf[j]+eps*nf[j]
+			ot, nt := oldTo[j], newTo[j]
+			if onDAG(srcChanged[i], of, ot, ob, nf, nt, nb) || onDAG(dstChanged[j], of, ot, ob, nf, nt, nb) {
+				touched[col] = true
 				continue
 			}
 			for _, e := range changedNew {
-				if newFrom[i][e.From]+e.Weight+newTo[j][e.To] <= newFrom[i][j]+eps*newFrom[i][j] {
+				if nf[e.From]+e.Weight+nt[e.To] <= nb {
 					touched[col] = true
 					break
 				}
@@ -172,26 +155,67 @@ func Patch(m *Matrix, g *topology.Graph, delta topology.Delta) (*Matrix, *topolo
 	// tables, in Build's (i,j) order so add columns ascend per row and
 	// the first disconnection error matches Build's.
 	add := make([][]linalg.Coord, newL+2*n)
+	r, err := ng.NewECMPRouter(nd)
+	if err != nil {
+		return nil, nil, err
+	}
 	for i := 0; i < n; i++ {
+		src := false
 		for j := 0; j < n; j++ {
-			if i == j || !touched[tm.PairIndex(n, i, j)] {
+			col := tm.PairIndex(n, i, j)
+			if i == j || !touched[col] {
 				continue
 			}
-			col := tm.PairIndex(n, i, j)
-			frac, err := ng.ECMPFractionsDist(i, j, newFrom[i], newTo[j])
+			if !src {
+				if err := r.SetSource(i); err != nil {
+					return nil, nil, err
+				}
+				src = true
+			}
+			fr, err := r.Fractions(j)
 			if err != nil {
 				return nil, nil, fmt.Errorf("routing: pair (%d,%d): %w", i, j, err)
 			}
-			for eid, f := range frac {
-				add[eid] = append(add[eid], linalg.Coord{Row: eid, Col: col, Val: f})
+			for _, f := range fr {
+				add[f.Edge] = append(add[f.Edge], linalg.Coord{Row: f.Edge, Col: col, Val: f.Frac})
 			}
 		}
 	}
-	out, err := csr.PatchRows(newL+2*n, n*n, srcRow, func(src, col int) bool {
-		return src < oldL && touched[col]
+	out, err := csr.PatchRows(newL+2*n, n*n, srcRow, func(src int) []bool {
+		if src < oldL {
+			return touched
+		}
+		return nil
 	}, add)
 	if err != nil {
 		return nil, nil, fmt.Errorf("routing: assemble patched CSR: %w", err)
 	}
 	return &Matrix{N: n, L: newL, csr: out}, ng, nil
+}
+
+// changedNodes lists the nodes whose distance differs bitwise between a
+// row of the old and the new tables; a row DistsAfter shared has none.
+func changedNodes(old, new []float64) []int {
+	if len(old) == 0 || &old[0] == &new[0] {
+		return nil
+	}
+	var out []int
+	for v := range old {
+		if math.Float64bits(old[v]) != math.Float64bits(new[v]) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// onDAG reports whether some node of vs lies on a pair's eps-tolerant
+// shortest-path DAG under the old tables (of, ot, bound ob) or the new
+// ones (nf, nt, nb).
+func onDAG(vs []int, of, ot []float64, ob float64, nf, nt []float64, nb float64) bool {
+	for _, v := range vs {
+		if of[v]+ot[v] <= ob || nf[v]+nt[v] <= nb {
+			return true
+		}
+	}
+	return false
 }

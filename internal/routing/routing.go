@@ -63,32 +63,39 @@ func FromCSR(csr *linalg.Sparse, n, l int) (*Matrix, error) {
 }
 
 // Build constructs the routing matrix for graph g under shortest-path
-// ECMP routing: 2n Dijkstra sweeps (allDists), then one O(E + n log n)
-// ECMPFractionsDist pass per OD pair, in (i, j) order, assembled straight
-// into CSR form without touching the O((L+2n)·n²) dense layout.
+// ECMP routing: 2n Dijkstra sweeps (Graph.SweepDists, cached on g for a
+// later Patch), then one ECMP fraction pass per OD pair, in (i, j)
+// order, on one ECMPRouter that orders the nodes once per source. The
+// entries arrive in column order, so NewSparse buckets them into CSR
+// rows without a sort and without touching the O((L+2n)·n²) dense
+// layout.
 func Build(g *topology.Graph) (*Matrix, error) {
 	n := g.N()
 	if n == 0 {
 		return nil, fmt.Errorf("%w: empty graph", ErrInput)
 	}
-	from, to, err := allDists(g)
+	d, err := g.SweepDists()
+	if err != nil {
+		return nil, err
+	}
+	r, err := g.NewECMPRouter(d)
 	if err != nil {
 		return nil, err
 	}
 	l := g.NumEdges()
 	entries := make([]linalg.Coord, 0, n*n*2)
 	for i := 0; i < n; i++ {
+		if err := r.SetSource(i); err != nil {
+			return nil, err
+		}
 		for j := 0; j < n; j++ {
 			col := tm.PairIndex(n, i, j)
-			if i != j {
-				frac, err := g.ECMPFractionsDist(i, j, from[i], to[j])
-				if err != nil {
-					return nil, fmt.Errorf("routing: pair (%d,%d): %w", i, j, err)
-				}
-				for eid, f := range frac {
-					//iclint:ignore maporder NewSparse sorts entries by (row,col) and rejects duplicates, so append order cannot reach the CSR
-					entries = append(entries, linalg.Coord{Row: eid, Col: col, Val: f})
-				}
+			fr, err := r.Fractions(j)
+			if err != nil {
+				return nil, fmt.Errorf("routing: pair (%d,%d): %w", i, j, err)
+			}
+			for _, f := range fr {
+				entries = append(entries, linalg.Coord{Row: f.Edge, Col: col, Val: f.Frac})
 			}
 			entries = append(entries,
 				linalg.Coord{Row: l + i, Col: col, Val: 1},     // ingress at i
@@ -100,25 +107,6 @@ func Build(g *topology.Graph) (*Matrix, error) {
 		return nil, fmt.Errorf("routing: assemble CSR: %w", err)
 	}
 	return &Matrix{N: n, L: l, csr: csr}, nil
-}
-
-// allDists returns the full shortest-path distance tables of g: from[u]
-// is Dijkstra from u, to[u] is Dijkstra to u (run on one shared reverse
-// graph): 2n sweeps shared by every pair of a Build or a Patch side.
-func allDists(g *topology.Graph) (from, to [][]float64, err error) {
-	n := g.N()
-	from = make([][]float64, n)
-	to = make([][]float64, n)
-	rev := g.Reverse()
-	for u := 0; u < n; u++ {
-		if from[u], err = g.Dijkstra(u); err != nil {
-			return nil, nil, err
-		}
-		if to[u], err = rev.Dijkstra(u); err != nil {
-			return nil, nil, err
-		}
-	}
-	return from, to, nil
 }
 
 // Rows returns the total number of measurement rows, L + 2n.

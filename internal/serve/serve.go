@@ -682,8 +682,9 @@ func (e *Engine) PatchTopology(key string, delta topology.Delta) (PatchResult, e
 	spec := ent.spec
 	version := ent.version
 
-	// Patch outside the lock: the heavy work (2n Dijkstra sweeps plus
-	// touched-pair recomputation) must not serialize the registry.
+	// Patch outside the lock: the heavy work (shortest-path repair,
+	// touched-pair recomputation and the CSR merge) must not serialize
+	// the registry.
 	base, err := e.entryFor(spec)
 	if err != nil {
 		return PatchResult{}, fmt.Errorf("%w: %v", ErrStream, err)

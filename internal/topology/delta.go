@@ -115,6 +115,12 @@ func (g *Graph) Apply(d Delta) (*Graph, []int, error) {
 		}
 	}
 	ng := NewGraph(g.n)
+	ng.edges = make([]Edge, 0, len(edges))
+	deg := make([]int, g.n)
+	for _, pe := range edges {
+		deg[pe.from]++
+	}
+	ng.shareAdj(deg)
 	edgeMap := make([]int, len(g.edges))
 	for i := range edgeMap {
 		edgeMap[i] = -1

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -18,18 +19,32 @@ func twoIslands(t *testing.T) *Graph {
 	return g
 }
 
-// ecmpFractions routes one pair from two fresh sweeps: the per-pair
-// form of what routing.Build computes off shared distance tables.
+// ecmpFractions routes one pair on a fresh router over g's tables, as
+// an edge ID -> fraction map.
 func ecmpFractions(g *Graph, src, dst int) (map[int]float64, error) {
-	distFrom, err := g.Dijkstra(src)
+	d, err := g.Dists()
 	if err != nil {
 		return nil, err
 	}
-	distTo, err := g.Reverse().Dijkstra(dst)
+	r, err := g.NewECMPRouter(d)
 	if err != nil {
 		return nil, err
 	}
-	return g.ECMPFractionsDist(src, dst, distFrom, distTo)
+	if err := r.SetSource(src); err != nil {
+		return nil, err
+	}
+	fr, err := r.Fractions(dst)
+	if err != nil {
+		return nil, err
+	}
+	frac := make(map[int]float64, len(fr))
+	for _, f := range fr {
+		if _, dup := frac[f.Edge]; dup {
+			return nil, fmt.Errorf("edge %d listed twice", f.Edge)
+		}
+		frac[f.Edge] = f.Frac
+	}
+	return frac, nil
 }
 
 func TestECMPFractionsDisconnected(t *testing.T) {
@@ -80,23 +95,40 @@ func TestZeroWeightLinksRejectedEverywhere(t *testing.T) {
 	}
 }
 
-func TestECMPFractionsDistValidation(t *testing.T) {
+func TestECMPRouterValidation(t *testing.T) {
 	g := twoIslands(t)
-	distFrom, _ := g.Dijkstra(0)
-	distTo, _ := g.Reverse().Dijkstra(1)
-	if _, err := g.ECMPFractionsDist(0, 1, distFrom[:2], distTo); !errors.Is(err, ErrGraph) {
-		t.Errorf("short distFrom: err = %v, want ErrGraph", err)
+	d, err := g.Dists()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g.ECMPFractionsDist(0, 1, distFrom, distTo[:1]); !errors.Is(err, ErrGraph) {
-		t.Errorf("short distTo: err = %v, want ErrGraph", err)
+	other, err := NewGraph(3).Dists()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := g.ECMPFractionsDist(0, 9, distFrom, distTo); !errors.Is(err, ErrGraph) {
+	if _, err := g.NewECMPRouter(other); !errors.Is(err, ErrGraph) {
+		t.Errorf("tables of another graph: err = %v, want ErrGraph", err)
+	}
+	r, err := g.NewECMPRouter(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Fractions(1); !errors.Is(err, ErrGraph) {
+		t.Errorf("no source: err = %v, want ErrGraph", err)
+	}
+	if err := r.SetSource(5); !errors.Is(err, ErrGraph) {
+		t.Errorf("source range: err = %v, want ErrGraph", err)
+	}
+	if err := r.SetSource(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Fractions(9); !errors.Is(err, ErrGraph) {
 		t.Errorf("range: err = %v, want ErrGraph", err)
 	}
-	// Unreachable destination reported through the dist vector.
-	distTo3, _ := g.Reverse().Dijkstra(3)
-	distFrom0, _ := g.Dijkstra(0)
-	if _, err := g.ECMPFractionsDist(0, 3, distFrom0, distTo3); !errors.Is(err, ErrGraph) {
+	if _, err := r.Fractions(3); !errors.Is(err, ErrGraph) {
 		t.Errorf("unreachable: err = %v, want ErrGraph", err)
+	}
+	// A failed call leaves the router's scratch clean for the next pair.
+	if fr, err := r.Fractions(1); err != nil || len(fr) != 1 || fr[0].Frac != 1 {
+		t.Errorf("after errors: fractions %v, err %v; want one whole edge", fr, err)
 	}
 }

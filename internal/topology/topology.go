@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // ErrGraph reports invalid graph construction or queries.
@@ -27,6 +28,10 @@ type Graph struct {
 	n     int
 	edges []Edge
 	adj   [][]int // node -> edge IDs leaving it
+
+	// dists caches the graph's shortest-path tables (see Dists); AddEdge
+	// drops them.
+	dists atomic.Pointer[Dists]
 }
 
 // NewGraph returns an empty graph over n nodes.
@@ -80,6 +85,7 @@ func (g *Graph) AddEdge(from, to int, weight float64) (int, error) {
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Weight: weight})
 	g.adj[from] = append(g.adj[from], id)
+	g.dists.Store(nil)
 	return id, nil
 }
 
@@ -138,11 +144,24 @@ func (g *Graph) Dijkstra(src int) ([]float64, error) {
 	if src < 0 || src >= g.n {
 		return nil, fmt.Errorf("%w: source %d outside [0,%d)", ErrGraph, src, g.n)
 	}
-	dist := make([]float64, g.n)
+	dist, _ := g.sweep(src, false)
+	return dist, nil
+}
+
+// sweep is Dijkstra from an in-range src. With withOrder set it also
+// returns the nodes reachable from src in (distance, ID) order, the
+// processing order of the ECMP fraction pass: nodes pop in
+// nondecreasing distance, so an insertion pass over the pop order only
+// reorders runs of equal distance, in O(n) for the usual short runs.
+func (g *Graph) sweep(src int, withOrder bool) (dist []float64, order []int) {
+	dist = make([]float64, g.n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
+	if withOrder {
+		order = make([]int, 0, g.n)
+	}
 	done := make([]bool, g.n)
 	q := append(make([]pqItem, 0, len(g.edges)+1), pqItem{node: src})
 	for len(q) > 0 {
@@ -152,6 +171,9 @@ func (g *Graph) Dijkstra(src int) ([]float64, error) {
 			continue
 		}
 		done[u] = true
+		if withOrder {
+			order = append(order, u)
+		}
 		for _, eid := range g.adj[u] {
 			e := &g.edges[eid]
 			if nd := dist[u] + e.Weight; nd < dist[e.To] {
@@ -160,7 +182,21 @@ func (g *Graph) Dijkstra(src int) ([]float64, error) {
 			}
 		}
 	}
-	return dist, nil
+	sortOrder(order, dist)
+	return dist, order
+}
+
+// sortOrder insertion-sorts nodes by (dist, ID): O(n) plus the distance
+// each node moves, so cheap on a nearly sorted list.
+func sortOrder(nodes []int, dist []float64) {
+	for k := 1; k < len(nodes); k++ {
+		u := nodes[k]
+		j := k
+		for ; j > 0 && (dist[nodes[j-1]] > dist[u] || dist[nodes[j-1]] == dist[u] && nodes[j-1] > u); j-- {
+			nodes[j] = nodes[j-1]
+		}
+		nodes[j] = u
+	}
 }
 
 // pushMin appends it to the binary min-heap q and sifts it up.
@@ -194,10 +230,30 @@ func popMin(q []pqItem) []pqItem {
 func (g *Graph) Reverse() *Graph {
 	r := NewGraph(g.n)
 	r.edges = make([]Edge, len(g.edges))
+	deg := make([]int, g.n)
 	for _, e := range g.edges {
-		re := Edge{ID: e.ID, From: e.To, To: e.From, Weight: e.Weight}
-		r.edges[e.ID] = re
-		r.adj[re.From] = append(r.adj[re.From], e.ID)
+		deg[e.To]++
+	}
+	r.shareAdj(deg)
+	for _, e := range g.edges {
+		r.edges[e.ID] = Edge{ID: e.ID, From: e.To, To: e.From, Weight: e.Weight}
+		r.adj[e.To] = append(r.adj[e.To], e.ID)
 	}
 	return r
+}
+
+// shareAdj points the empty adjacency lists of g into one backing array
+// sized for out-degrees deg, each capped at its own segment so that an
+// append past it reallocates instead of overwriting a neighbour's.
+func (g *Graph) shareAdj(deg []int) {
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	ids := make([]int, total)
+	off := 0
+	for u, d := range deg {
+		g.adj[u] = ids[off : off : off+d]
+		off += d
+	}
 }
