@@ -175,7 +175,7 @@ func (p *GeneralParams) N() int { return len(p.Activity) }
 //
 //	X_ij = f_ij·A_i·p_j + (1 - f_ji)·A_j·p_i
 //
-// Note the transposed index on the reverse term: traffic from i to j due
+// Note the swapped index on the reverse term: traffic from i to j due
 // to j's activity is the reverse direction of connections initiated at j
 // toward i, whose forward ratio is f_ji.
 func (p *GeneralParams) Evaluate() (*tm.TrafficMatrix, error) {

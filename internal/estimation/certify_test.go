@@ -7,7 +7,6 @@ import (
 
 	"ictm/internal/faults"
 	"ictm/internal/linalg"
-	"ictm/internal/parallel"
 	"ictm/internal/routing"
 	"ictm/internal/synth"
 	"ictm/internal/tm"
@@ -249,14 +248,13 @@ func TestCertifyCalibratedAgainstDense(t *testing.T) {
 // certifyAtScale certifies every bin of clean, lossy and weighted
 // series of hourly ISPLike(n) bins — the backbone-stub shape of the
 // service's hundred-node workloads — from bin 24 on, and one
-// EstimateSeries chunk. Each bin is projected by projectGroup and
-// finished by finishBin, the two stages the grouped paths
-// (EstimateBins, EstimateSeries' chunks) run, so the certificates speak
-// about what the service and the series path return. The clean and
-// lossy series run cleanBins bins and the weighted one weightedBins
-// (its solves take 20–30x the iterations). The chunk is the first one
-// EstimateSeries cuts from a 9-bin series over two workers: 8 bins,
-// solved as one 8-lane LSQRMulti block.
+// EstimateSeries chunk. Each bin runs EstimateBin's three stages —
+// prepareBin, projectBin, finishBin — so the certificates speak about
+// the projection and the estimate the service and the series path
+// return. The clean and lossy series run cleanBins bins and the
+// weighted one weightedBins (its solves take 20–30x the iterations).
+// The chunk is 8 bins estimated by EstimateSeries over two workers,
+// each of whose estimates must equal its certified bin bit for bit.
 func certifyAtScale(t *testing.T, n, cleanBins, weightedBins int) {
 	sc := synth.ISPLike(n)
 	sc.BinsPerWeek, sc.BinSeconds, sc.Weeks = 2*24, 3600, 1
@@ -284,7 +282,7 @@ func certifyAtScale(t *testing.T, n, cleanBins, weightedBins int) {
 		{name: "clean", bins: cleanBins},
 		{name: "lossy", bins: cleanBins, lossy: true},
 		{name: "weighted", bins: weightedBins, opts: []Option{WithWeighted(true)}},
-		{name: "chunk", bins: parallel.BatchSize(9, 2, maxBlockLanes), chunk: true},
+		{name: "chunk", bins: 8, chunk: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, err := NewEstimator(rm, tc.opts...)
@@ -295,8 +293,18 @@ func certifyAtScale(t *testing.T, n, cleanBins, weightedBins int) {
 			if tc.lossy {
 				inj = faults.NewInjector(faults.Lossy(), 11, rm.L)
 			}
-			group := make([]groupBin, tc.bins)
-			for i := range group {
+			var series *SeriesResult
+			if tc.chunk {
+				window, err := d.Series.Slice(24, 24+tc.bins)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if series, err = e.With(WithWorkers(2)).EstimateSeries(window, prior); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var degraded int
+			for i := 0; i < tc.bins; i++ {
 				y, err := rm.LinkLoads(d.Series.At(24 + i))
 				if err != nil {
 					t.Fatal(err)
@@ -308,31 +316,30 @@ func certifyAtScale(t *testing.T, n, cleanBins, weightedBins int) {
 					}
 					inj.Apply(i, y, prev)
 				}
-				group[i].t, group[i].y = i, y
-			}
-			e.projectGroup(prior, group)
-			var degraded int
-			for i := range group {
-				b := &group[i]
-				if b.err != nil {
-					t.Fatalf("bin %d: %v", i, b.err)
+				diag := BinDiag{IPFConverged: true}
+				keep, dropped, ing, eg, p, err := prepareBin(e.solver, prior, i, y)
+				if err != nil {
+					t.Fatalf("bin %d: %v", i, err)
 				}
-				proj := b.est
-				if b.diag.PriorFallback {
-					proj = nil
+				proj, err := projectBin(e.solver, p, y, keep, dropped, e.opts, &diag)
+				if err != nil {
+					t.Fatalf("bin %d: %v", i, err)
 				}
-				est := b.est.Clone()
-				if err := finishBin(e.solver, est, b.ing, b.eg, e.opts, &b.diag); err != nil {
+				est := proj.Clone()
+				if err := finishBin(e.solver, est, ing, eg, e.opts, &diag); err != nil {
 					t.Fatal(err)
+				}
+				if diag.PriorFallback {
+					proj = nil
 				}
 				// Only the lossy profile's counter noise makes a bin's
 				// link loads inconsistent.
-				cert.certify(t, fmt.Sprintf("n=%d bin %d", n, i), b.p, proj, b.y, b.keep, e.opts.Weighted, !tc.lossy, est, b.diag)
-				if b.diag.Degraded {
+				cert.certify(t, fmt.Sprintf("n=%d bin %d", n, i), p, proj, y, keep, e.opts.Weighted, !tc.lossy, est, diag)
+				if diag.Degraded {
 					degraded++
 				}
-				if tc.chunk && !b.blocked {
-					t.Fatalf("chunk bin %d solved outside the blocked kernel", i)
+				if series != nil {
+					requireBitwise(t, series.Estimates.At(i), est, fmt.Sprintf("chunk bin %d", i))
 				}
 			}
 			if tc.lossy && degraded == 0 {

@@ -61,7 +61,7 @@ func (r *priorRegistry) snapshot() []registeredPrior {
 // derivation (With).
 type Option func(*options)
 
-// WithWorkers bounds how many series chunks (EstimateSeries) or priors
+// WithWorkers bounds how many series bins (EstimateSeries) or priors
 // (Compare) are estimated concurrently: 0 selects GOMAXPROCS, 1 the
 // plain sequential loop. Results are bit-identical for every value.
 func WithWorkers(n int) Option { return func(o *options) { o.Workers = n } }
@@ -251,13 +251,11 @@ type SeriesResult struct {
 // EstimateSeries estimates every bin of the true series and reports
 // per-bin errors and run diagnostics. The observation vector for each
 // bin is Y = R·x(t), optionally perturbed by the session's link-noise
-// policy (and fault profile). The series is cut into contiguous chunks
-// by parallel.BatchSize — ⌈bins/workers⌉ rounded up to a multiple of
-// four, at most maxBlockLanes — which fan out under the session's worker
-// bound, each estimated like EstimateBins. Every bin's estimate,
-// error and diagnostics are exactly those of EstimateBin on its
-// observation, for every worker count; on error, the lowest failing
-// bin's is returned.
+// policy (and fault profile). Bins fan out under the session's worker
+// bound, each estimated by EstimateBin, so every bin's estimate, error
+// and diagnostics are exactly those of EstimateBin on its observation,
+// for every worker count; on error, the lowest failing bin's is
+// returned.
 func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult, error) {
 	rm := e.solver.rm
 	if truth.N() != rm.N {
@@ -333,32 +331,21 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 		return y, nil
 	}
 	results := make([]BinResult, bins)
-	chunk := max(parallel.BatchSize(bins, e.opts.Workers, maxBlockLanes), 1)
-	err := parallel.ForEach(e.opts.Workers, (bins+chunk-1)/chunk, func(c int) error {
-		// A failed observation ends the chunk after the bins before it,
-		// as it would end a bin-by-bin loop.
-		var obsErr error
-		group := make([]groupBin, 0, chunk)
-		for t := c * chunk; t < min((c+1)*chunk, bins); t++ {
-			y, err := observed(t)
-			if err != nil {
-				obsErr = err
-				break
-			}
-			group = append(group, groupBin{t: t, y: y})
+	err := parallel.ForEach(e.opts.Workers, bins, func(t int) error {
+		y, err := observed(t)
+		if err != nil {
+			return err
 		}
-		e.estimateGroup(prior, group)
-		for _, b := range group {
-			if b.err != nil {
-				return b.err
-			}
-			relErr, err := tm.RelL2(truth.At(b.t), b.est)
-			if err != nil {
-				return fmt.Errorf("estimation: bin %d: %w", b.t, err)
-			}
-			results[b.t] = BinResult{Estimate: b.est, RelL2: relErr, Diag: b.diag}
+		est, diag, err := e.EstimateBin(prior, t, y)
+		if err != nil {
+			return err
 		}
-		return obsErr
+		relErr, err := tm.RelL2(truth.At(t), est)
+		if err != nil {
+			return fmt.Errorf("estimation: bin %d: %w", t, err)
+		}
+		results[t] = BinResult{Estimate: est, RelL2: relErr, Diag: diag}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -381,7 +368,7 @@ func (e *Estimator) EstimateSeries(truth *tm.Series, prior Prior) (*SeriesResult
 // session's solver, and returns per-prior results keyed by prior name;
 // two priors with the same name are an ErrInput, reported before any
 // estimation. Priors fan out under the session's worker bound (each
-// inner series also parallelizes over chunks); per-prior results match
+// inner series also parallelizes over bins); per-prior results match
 // the sequential path exactly because the link-noise stream is keyed
 // by bin, not by consumption order.
 func (e *Estimator) Compare(truth *tm.Series, priors []Prior) (map[string]*SeriesResult, error) {

@@ -42,14 +42,14 @@ type options struct {
 	// NoiseSeed seeds the link-noise stream (so comparisons across
 	// priors see identical noise).
 	NoiseSeed uint64
-	// Workers bounds how many series chunks (EstimateSeries) or priors
+	// Workers bounds how many series bins (EstimateSeries) or priors
 	// (Compare) are estimated concurrently: 0 selects GOMAXPROCS, 1 the
 	// plain sequential loop. The bound applies per fan-out level, so
-	// Compare can have up to Workers priors × Workers chunks in flight;
+	// Compare can have up to Workers priors × Workers bins in flight;
 	// Go still multiplexes them over GOMAXPROCS OS threads, so this
 	// overlaps scheduling, not CPU. Results are bit-identical for every
 	// value — each bin's link-noise variates come from a stream keyed by
-	// the bin index, and a chunk gives every bin its per-bin bits.
+	// the bin index.
 	Workers int
 	// Fault injects a tiered measurement-fault profile (counter
 	// wraparound, sampling noise, stale and missing reports) into the
@@ -218,8 +218,7 @@ func validateObservation(y []float64, rows, links int) (keep []bool, dropped int
 // prepareBin runs the pre-projection stage of one bin: observation
 // validation (mask derivation), marginal extraction and prior synthesis.
 // ing and eg alias y, so they stay valid exactly as long as the caller
-// keeps the observation alive. Shared by EstimateBin and the grouped
-// paths, so they cannot drift in validation or error text.
+// keeps the observation alive.
 func prepareBin(s *Solver, prior Prior, t int, y []float64) (keep []bool, dropped int, ing, eg []float64, p *tm.TrafficMatrix, err error) {
 	keep, dropped, err = validateObservation(y, s.rm.Rows(), s.rm.L)
 	if err != nil {
@@ -242,9 +241,7 @@ func prepareBin(s *Solver, prior Prior, t int, y []float64) (keep []bool, droppe
 // projectBin runs the projection stage of one bin, recording its
 // diagnostics in diag: a bin below the observability floor falls back
 // to the prior, and every other bin — masked or not, weighted or not —
-// takes Solver.Project. Shared by EstimateBin and the grouped paths
-// (which route only the clean unweighted bins to the blocked solver and
-// send everything else here).
+// takes Solver.Project.
 func projectBin(s *Solver, p *tm.TrafficMatrix, y []float64, keep []bool, dropped int, opts options, diag *BinDiag) (*tm.TrafficMatrix, error) {
 	if dropped > 0 {
 		diag.Degraded, diag.LinksDropped = true, dropped
@@ -254,15 +251,8 @@ func projectBin(s *Solver, p *tm.TrafficMatrix, y []float64, keep []bool, droppe
 		}
 	}
 	est, pr, err := s.Project(p, y, keep, opts.Weighted)
-	diag.recordProjection(pr)
+	diag.LSQRIterations, diag.ProjectStalled = pr.Iterations, pr.Stalled
 	return est, err
-}
-
-// recordProjection copies a projection's report into the bin's
-// diagnostics.
-func (d *BinDiag) recordProjection(pr Projection) {
-	d.LSQRIterations = pr.Iterations
-	d.ProjectStalled = pr.Stalled
 }
 
 // finishBin runs the post-projection stage of one bin in place: clamp

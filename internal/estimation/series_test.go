@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ictm/internal/faults"
-	"ictm/internal/parallel"
 	"ictm/internal/rng"
 	"ictm/internal/routing"
 	"ictm/internal/synth"
@@ -15,8 +14,7 @@ import (
 )
 
 // seriesFixture builds a small scenario with a caller-chosen series
-// length (EstimateSeries' chunking only becomes interesting past one
-// maxBlockLanes) and its routing matrix.
+// length and its routing matrix.
 func seriesFixture(t *testing.T, bins int) (*routing.Matrix, *tm.Series) {
 	t.Helper()
 	sc := synth.GeantLike()
@@ -58,9 +56,9 @@ func requireSeriesBitwise(t *testing.T, got, want *SeriesResult, label string) {
 	}
 }
 
-// mildLossy keeps a mix of blockable and masked bins in every chunk:
+// mildLossy keeps a mix of clean and masked bins in every series:
 // faults.Lossy()'s 20% missing reports over 32 links leaves essentially
-// no bin fully observed (nothing to block), 1% leaves most bins clean.
+// no bin fully observed, 1% leaves most bins clean.
 var mildLossy = faults.Profile{Name: "mild-lossy", NoiseSigma: 0.1, StaleProb: 0.05, MissProb: 0.01}
 
 // perBinSeries is EstimateSeries written as a plain loop: each bin's
@@ -119,10 +117,7 @@ func perBinSeries(t *testing.T, est *Estimator, truth *tm.Series, prior Prior, i
 // TestEstimateSeriesMatchesEstimateBin: EstimateSeries returns exactly
 // what a plain loop of EstimateBin over the same observations returns —
 // estimates, errors and stats, bit for bit — for every worker count.
-// The worker count sets the chunk length, so the cases cut 27 and 40
-// bins into chunks of 16, 12, 8 and 4, with short tails below
-// minBlockLanes (27 bins over 3 workers end in a 3-bin chunk); the
-// lossy profile drops masked bins out of the blocks.
+// The lossy profile mixes masked bins into the clean ones.
 func TestEstimateSeriesMatchesEstimateBin(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -150,8 +145,7 @@ func TestEstimateSeriesMatchesEstimateBin(t *testing.T) {
 				t.Fatalf("bins=%d: the lossy profile degraded no bin", bins)
 			}
 			for _, workers := range []int{1, 3, 8} {
-				label := fmt.Sprintf("bins=%d/%s/workers=%d (chunks of %d)", bins, tc.name, workers,
-					parallel.BatchSize(bins, workers, maxBlockLanes))
+				label := fmt.Sprintf("bins=%d/%s/workers=%d", bins, tc.name, workers)
 				got, err := est.With(WithWorkers(workers)).EstimateSeries(truth, GravityPrior{})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -163,9 +157,8 @@ func TestEstimateSeriesMatchesEstimateBin(t *testing.T) {
 }
 
 // TestSeriesWorkerDeterminism: EstimateSeries keeps the workers=1 ≡
-// workers=N bitwise contract although the worker count sets the chunk
-// length, on clean telemetry and under a lossy fault profile (where
-// masked bins leave the blocked groups).
+// workers=N bitwise contract on clean telemetry and under a lossy fault
+// profile (masked bins among clean ones).
 func TestSeriesWorkerDeterminism(t *testing.T) {
 	rm, truth := seriesFixture(t, 40)
 	cases := []struct {

@@ -173,8 +173,8 @@ func TestStallWireFlags(t *testing.T) {
 	}
 }
 
-// TestSeriesStallMatchesProject: EstimateSeries' blocked chunks settle a
-// stalled bin by the same policy as Project. With a one-iteration
+// TestSeriesStallMatchesProject: EstimateSeries settles a stalled bin by
+// the same policy as Project. With a one-iteration
 // budget every bin is counted stalled after one iteration, and every
 // bin is Project's kept iterate (clamped and rebalanced), bit for bit.
 func TestSeriesStallMatchesProject(t *testing.T) {

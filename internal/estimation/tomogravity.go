@@ -51,32 +51,14 @@ type Solver struct {
 }
 
 // solveScratch is the reusable working storage of one in-flight solve:
-// the projection's residual and weights, the LSQR work area (shared by
-// LSQR and LSQRMulti), a blocked solve's per-lane buffers, and the IPF
-// marginal buffers. Pooled on the Solver; not safe for
-// concurrent use — each solve checks one out for its duration.
+// the projection's residual and weights, the LSQR work area, and the
+// IPF marginal buffers. Pooled on the Solver; not safe for concurrent
+// use — each solve checks one out for its duration.
 type solveScratch struct {
-	res      []float64 // rows-sized: the measurement residual
-	sqrtw    []float64 // n²-sized: the weighted projection's W^{1/2}
-	lsqr     linalg.LSQRWork
-	blockRes [][]float64         // per lane, rows-sized: blocked residuals
-	blockDst [][]float64         // per lane, n²-sized: blocked corrections
-	reps     []linalg.LSQRReport // per lane: a lane-by-lane block's reports
-	ing, eg  []float64           // n-sized: IPF marginal accumulators
-}
-
-// block returns the per-lane buffers of one k-lane blocked solve: k
-// residual slots (sized by Solver.residual) and k correction buffers of
-// length cols.
-func (sc *solveScratch) block(k, cols int) (bs, dst [][]float64) {
-	for len(sc.blockDst) < k {
-		sc.blockRes = append(sc.blockRes, nil)
-		sc.blockDst = append(sc.blockDst, nil)
-	}
-	for i := 0; i < k; i++ {
-		sc.blockDst[i] = growFloat(sc.blockDst[i], cols)
-	}
-	return sc.blockRes[:k], sc.blockDst[:k]
+	res     []float64 // rows-sized: the measurement residual
+	sqrtw   []float64 // n²-sized: the weighted projection's W^{1/2}
+	lsqr    linalg.LSQRWork
+	ing, eg []float64 // n-sized: IPF marginal accumulators
 }
 
 // getScratch checks a scratch object out of the pool (allocating the
@@ -208,10 +190,12 @@ func addCorrection(prior *tm.TrafficMatrix, z, sqrtw []float64) *tm.TrafficMatri
 // O(iterations · nnz) per bin. A non-nil keep drops the rows with
 // keep[i] == false from the system (linalg.RowMasked, bitwise-identical
 // to physically removing them), so a bin with missing link reports is
-// fitted to the surviving equations only. A stalled solve keeps LSQR's
-// iterate and is reported in the Projection (see settle). The result can
-// contain small negative entries; the caller is expected to clamp and
-// re-balance (see EstimateBin).
+// fitted to the surviving equations only. A solve that stalls at its
+// iteration budget keeps LSQR's almost-converged minimum-norm iterate,
+// and the stall is reported in the Projection so the pipeline can count
+// it instead of hiding a quality surprise. The result can contain small
+// negative entries; the caller is expected to clamp and re-balance (see
+// EstimateBin).
 func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64, keep []bool, weighted bool) (*tm.TrafficMatrix, Projection, error) {
 	sc := s.getScratch()
 	defer s.putScratch(sc)
@@ -233,8 +217,7 @@ func (s *Solver) Project(prior *tm.TrafficMatrix, y []float64, keep []bool, weig
 	if err != nil {
 		return nil, Projection{}, fmt.Errorf("estimation: projection: %w", err)
 	}
-	est, pr := settle(prior, z, sqrtw, rep)
-	return est, pr, nil
+	return addCorrection(prior, z, sqrtw), Projection{Iterations: rep.Iterations, Stalled: !rep.Converged}, nil
 }
 
 // ProjectReport is Project for an unweighted, fully observed bin, in the
@@ -252,16 +235,6 @@ func (s *Solver) ProjectReport(prior *tm.TrafficMatrix, y []float64) (*tm.Traffi
 func (s *Solver) ProjectMaskedReport(prior *tm.TrafficMatrix, y []float64, keep []bool) (*tm.TrafficMatrix, bool, int, error) {
 	est, pr, err := s.Project(prior, y, keep, false)
 	return est, pr.Stalled, pr.Iterations, err
-}
-
-// settle forms the estimate prior + W^{1/2}·z (sqrtw nil: W = I) from
-// LSQR's correction z and reports the solve. It is the one stall policy
-// of every iterative path, weighted or not, masked or not, cold or
-// blocked: a stalled bin keeps LSQR's almost-converged minimum-norm
-// iterate, and the stall is reported so the pipeline can count it
-// instead of hiding a quality surprise.
-func settle(prior *tm.TrafficMatrix, z, sqrtw []float64, rep linalg.LSQRReport) (*tm.TrafficMatrix, Projection) {
-	return addCorrection(prior, z, sqrtw), Projection{Iterations: rep.Iterations, Stalled: !rep.Converged}
 }
 
 // IPF rescales x by iterative proportional fitting until its row sums

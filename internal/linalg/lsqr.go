@@ -48,8 +48,9 @@ func (c *ColScaled) Cols() int { return c.a.Cols() }
 
 // MulVecTo computes dst = A·diag(scale)·x.
 func (c *ColScaled) MulVecTo(dst, x []float64) {
+	scratch, scale := c.scratch[:len(x)], c.scale[:len(x)]
 	for j, v := range x {
-		c.scratch[j] = v * c.scale[j]
+		scratch[j] = v * scale[j]
 	}
 	c.a.MulVecTo(dst, c.scratch)
 }
@@ -57,15 +58,16 @@ func (c *ColScaled) MulVecTo(dst, x []float64) {
 // TMulVecTo computes dst = diag(scale)·Aᵀ·x.
 func (c *ColScaled) TMulVecTo(dst, x []float64) {
 	c.a.TMulVecTo(dst, x)
+	scale := c.scale[:len(dst)]
 	for j := range dst {
-		dst[j] *= c.scale[j]
+		dst[j] *= scale[j]
 	}
 }
 
-// LSQROptions tune the iterative solvers LSQR and LSQRMulti. The zero
-// value selects the defaults documented on each field.
+// LSQROptions tune the iterative solver LSQR. The zero value selects
+// the defaults documented on each field.
 type LSQROptions struct {
-	// MaxIter bounds the iterations of every system; zero selects
+	// MaxIter bounds the iterations of a solve; zero selects
 	// 4·(Rows+Cols), far above what the routing systems this repository
 	// solves take. Over 24 bins with gravity and IC priors, GeantLike
 	// (188×484, budget 2688) takes 118–123 iterations a bin unweighted
@@ -74,9 +76,8 @@ type LSQROptions struct {
 	MaxIter int
 	// Work, when non-nil, supplies the solve's working storage so
 	// steady-state callers allocate nothing per solve. LSQR's returned
-	// solution and LSQRMulti's returned reports alias Work and are
-	// valid only until the next solve that uses the same Work; copy
-	// them to keep them.
+	// solution then aliases Work and is valid only until the next solve
+	// that uses the same Work; copy it to keep it.
 	Work *LSQRWork
 }
 
@@ -88,25 +89,17 @@ func (o LSQROptions) maxIter(m, n int) int {
 	return 4 * (m + n)
 }
 
-// LSQRWork holds the working storage of LSQR and LSQRMulti solves for
-// reuse across solves of equal (or varying) shape, either driver. The
-// zero value is ready to use: buffers grow on demand and are fully
-// overwritten before being read, so reuse cannot leak state between
-// solves — results are bit-identical to a fresh allocation. Not safe
-// for concurrent use; give each worker its own.
+// LSQRWork holds the working storage of LSQR solves for reuse across
+// solves of equal (or varying) shape. The zero value is ready to use:
+// buffers grow on demand and are fully overwritten before being read,
+// so reuse cannot leak state between solves — results are bit-identical
+// to a fresh allocation. Not safe for concurrent use; give each worker
+// its own.
 type LSQRWork struct {
-	// The iterate vectors. LSQRMulti interleaves its k systems, entry j
-	// of system c at j·k+c; one system interleaved is LSQR's plain
-	// layout.
+	// The iterate vectors.
 	x, u, v, w []float64
-	// LSQR's mat-vec products, before the update.
+	// The mat-vec products, before the update.
 	tmpu, tmpv []float64
-	// LSQRMulti's per-system state: the recurrences, the blocked
-	// kernels' lane scalars, and the returned reports.
-	lanes                               []lane
-	alpha, beta, inv, t1, t2, maxs, ssq []float64
-	upd                                 []bool
-	reps                                []LSQRReport
 }
 
 // grow resizes a buffer to length n, reusing capacity when possible.
@@ -156,8 +149,7 @@ const lsqrTol = 1e-13
 // running estimates of ‖A‖_F and ‖x‖ (Paige–Saunders §5.3; ‖x‖ comes
 // from the right-rotation recurrence that eliminates the
 // super-diagonal of the upper-bidiagonal system), the stopping tests
-// and the report. LSQR runs one lane; LSQRMulti runs one per system of
-// its block, in lockstep.
+// and the report.
 type lane struct {
 	bnorm, rhobar, phibar float64
 	anorm, xxnorm, xnorm  float64
@@ -277,29 +269,47 @@ func LSQR(a Op, b []float64, opts LSQROptions) ([]float64, LSQRReport, error) {
 
 	for iter := opts.maxIter(m, n); iter > 0 && !l.rep.Converged; iter-- {
 		// Continue the bidiagonalization: β·u = A·v − α·u, then
-		// α·v = Aᵀ·u − β·v.
+		// α·v = Aᵀ·u − β·v, each update fused with its norm's max pass.
 		a.MulVecTo(tmpu, v)
-		for i := range u {
-			u[i] = tmpu[i] - alpha*u[i]
-		}
-		beta = Norm2(u)
+		beta = normFromMax(u, updateMax(u, tmpu, alpha))
 		if beta > 0 {
 			ScaleVec(1/beta, u)
 			a.TMulVecTo(tmpv, u)
-			for i := range v {
-				v[i] = tmpv[i] - beta*v[i]
-			}
-			alpha = Norm2(v)
+			alpha = normFromMax(v, updateMax(v, tmpv, beta))
 			if alpha > 0 {
 				ScaleVec(1/alpha, v)
 			}
 		}
 		t1, t2 := l.step(alpha, beta)
-		for i := range x {
-			wi := w[i]
-			x[i] += t1 * wi
-			w[i] = v[i] + t2*wi
-		}
+		updateXW(x, w, v, t1, t2)
 	}
 	return x, l.rep, nil
+}
+
+// updateXW advances the solution and the search direction:
+// x += t1·w, then w = v + t2·w.
+func updateXW(x, w, v []float64, t1, t2 float64) {
+	w, v = w[:len(x)], v[:len(x)]
+	for i := range x {
+		wi := w[i]
+		x[i] += t1 * wi
+		w[i] = v[i] + t2*wi
+	}
+}
+
+// updateMax sets dst = a − s·dst and returns max|dst|, the first pass
+// of Norm2 over the result: the same comparisons in the same order, so
+// normFromMax(dst, updateMax(dst, a, s)) is Norm2 of the update bit for
+// bit.
+func updateMax(dst, a []float64, s float64) float64 {
+	a = a[:len(dst)]
+	var max float64
+	for i, d := range dst {
+		t := a[i] - s*d
+		dst[i] = t
+		if m := math.Abs(t); m > max {
+			max = m
+		}
+	}
+	return max
 }

@@ -11,21 +11,17 @@ import (
 	"testing"
 )
 
-// lsqrDigests pins the SHA-256 of LSQR's and LSQRMulti's solutions and
-// reports (every float by its bits) over a seeded corpus: converged
-// systems, stalls at MaxIter 1 and 3, b = 0, Aᵀ·b = 0, a diagonal
-// system whose Krylov space is exhausted early, and LSQR over the
-// RowMasked and ColScaled operators. The digests were recorded before
-// the two drivers came to share one recurrence; any moved bit in a
-// rotation, norm estimate, stopping test or blocked kernel fails here.
+// lsqrDigests pins the SHA-256 of LSQR's solutions and reports (every
+// float by its bits) over a seeded corpus: converged systems, stalls at
+// MaxIter 1 and 3, b = 0, Aᵀ·b = 0, a diagonal system whose Krylov
+// space is exhausted early, and LSQR over the RowMasked and ColScaled
+// operators. Any moved bit in a rotation, norm estimate, stopping test
+// or mat-vec kernel fails here.
 var lsqrDigests = map[string]string{
 	"lsqr":                      "fbc4772b96e5b01c709e1cc80d3f9dc153e0f45042f53b8ff20697242b54ea0f",
 	"lsqr-col-scaled":           "91aee01ccff45ac10268ec595edd31d9a8660a499e01a26a9fedb6657715d89f",
 	"lsqr-col-scaled/maxiter=1": "382fc0e81710f898ca3b46be6f9e313dfc1f6e086796589683d38ab2e9e7b727",
 	"lsqr-col-scaled/maxiter=3": "6993bdb6371a089320166304e45284c8528b8eddd3f1af20e69f1d723da4aa32",
-	"lsqr-multi":                "b00e19fea7c34eb34e13b40d5236e0f65efbb001ac0deadfffe93c1aa0953792",
-	"lsqr-multi/maxiter=1":      "642998524e197eb4f061832f3a7bf8f87c54a44b326d5df3a5d751b8fe9e1cb2",
-	"lsqr-multi/maxiter=3":      "224382f5d234d4237cc5cde02918692a35db28d8305cc38a9c900de839dafe2f",
 	"lsqr-row-masked":           "68bd5581c8ee863dcedabffff5d9d64f5e2d8a8c51db18382b194ca3e11c4668",
 	"lsqr-row-masked/maxiter=1": "e6fed602f39a136c1bd8a94e33467478eb05e36d73e3c612f45457982f3a47de",
 	"lsqr-row-masked/maxiter=3": "94791cf199d2cec452e4b3d97071b2c23d01cbbcf80d411cbc10bd3260c65364",
@@ -111,8 +107,8 @@ func digestCorpus() []digestSystem {
 	return out
 }
 
-// TestLSQRDigestsPinned hashes LSQR and LSQRMulti over digestCorpus and
-// compares each case with its recorded digest.
+// TestLSQRDigestsPinned hashes LSQR over digestCorpus and compares each
+// case with its recorded digest.
 func TestLSQRDigestsPinned(t *testing.T) {
 	corpus := digestCorpus()
 	got := map[string]string{}
@@ -151,40 +147,6 @@ func TestLSQRDigestsPinned(t *testing.T) {
 		}
 		return NewColScaled(s, scale)
 	}
-	// multi solves blocks of k right-hand sides against each random
-	// system's operator. Lane 1 of every block of three or more is b = 0
-	// and lane 2 is Aᵀ·b = 0 when the operator has an empty row; the
-	// rest are random, scaled by lane so they stop at staggered
-	// iterations. The diagonal system runs one block whose lanes touch
-	// one to k coordinates.
-	multi := func(maxIter int) func(h hash.Hash) {
-		return func(h hash.Hash) {
-			r := rand.New(rand.NewSource(8))
-			for _, k := range []int{1, 3, 4, 5, 8, 9, 13, 17} {
-				for i, sys := range corpus[:digestRandom] {
-					m := sys.a.Rows()
-					bs := randomVecs(r, k, m)
-					if k >= 3 {
-						clear(bs[1])
-						if empty := emptyRow(sys.a); empty >= 0 {
-							clear(bs[2])
-							bs[2][empty] = 1.25
-						}
-					}
-					runMulti(t, h, sys.a, bs, maxIter, i)
-				}
-			}
-			diag := corpus[len(corpus)-1].a
-			bs := make([][]float64, 9)
-			for c := range bs {
-				bs[c] = make([]float64, diag.Rows())
-				for j := 0; j <= c%diag.Rows(); j++ {
-					bs[c][j] = float64(c+1) * (1 + 0.5*float64(j))
-				}
-			}
-			runMulti(t, h, diag, bs, maxIter, -1)
-		}
-	}
 	for _, it := range []int{0, 1, 3} {
 		suffix := ""
 		if it > 0 {
@@ -193,7 +155,6 @@ func TestLSQRDigestsPinned(t *testing.T) {
 		record("lsqr"+suffix, single(it, nil))
 		record("lsqr-row-masked"+suffix, single(it, masked))
 		record("lsqr-col-scaled"+suffix, single(it, scaled))
-		record("lsqr-multi"+suffix, multi(it))
 	}
 	// The corpus must reach the exits it claims to cover.
 	n := len(corpus)
@@ -214,30 +175,4 @@ func TestLSQRDigestsPinned(t *testing.T) {
 	if len(got) != len(lsqrDigests) {
 		t.Errorf("%d digests computed, %d pinned", len(got), len(lsqrDigests))
 	}
-}
-
-// runMulti solves one LSQRMulti block and hashes every lane.
-func runMulti(t *testing.T, h hash.Hash, a *Sparse, bs [][]float64, maxIter, sys int) {
-	t.Helper()
-	dst := make([][]float64, len(bs))
-	for c := range dst {
-		dst[c] = make([]float64, a.Cols())
-	}
-	reps, err := LSQRMulti(a, bs, dst, LSQROptions{MaxIter: maxIter})
-	if err != nil {
-		t.Fatalf("system %d, k=%d: %v", sys, len(bs), err)
-	}
-	for c := range bs {
-		hashSolve(h, dst[c], reps[c])
-	}
-}
-
-// emptyRow returns the index of a row of a with no entries, or -1.
-func emptyRow(a *Sparse) int {
-	for i := 0; i < a.rows; i++ {
-		if a.rowPtr[i] == a.rowPtr[i+1] {
-			return i
-		}
-	}
-	return -1
 }

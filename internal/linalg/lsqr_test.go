@@ -135,3 +135,91 @@ func TestLSQRDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedNormMatchesNorm2: LSQR forms each bidiagonalization update
+// with updateMax, which folds Norm2's max pass into the update loop.
+// The updated vector and normFromMax of the folded maximum must equal
+// the unfused update and its Norm2 bit for bit, for every class of
+// float an update can produce: zeros of both signs, mixed and all-
+// negative signs, magnitudes near overflow and underflow, subnormals,
+// NaN and ±Inf.
+func TestFusedNormMatchesNorm2(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	cases := []struct {
+		name string
+		a    []float64
+	}{
+		{"empty", nil},
+		{"zero", []float64{0, 0, 0, 0}},
+		{"signed-zero", []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1)}},
+		{"mixed", []float64{1.5, -2.25, 0.5, -3, 2.75}},
+		{"negative", []float64{-1, -4, -2.5}},
+		{"huge", []float64{1e300, -1e300, 3e299, -7e299}},
+		{"tiny", []float64{1e-300, -1e-300, 4e-301}},
+		{"subnormal", []float64{sub, -3 * sub, 2.5e-310, -1e-320}},
+		{"nan", []float64{1, math.NaN(), -2}},
+		{"nan-first", []float64{math.NaN(), 3, -4}},
+		{"inf", []float64{1, math.Inf(1), -2}},
+		{"neg-inf", []float64{math.Inf(-1), 2, -5}},
+	}
+	for _, c := range cases {
+		// s = 0 leaves dst = a; the others mix in the previous dst.
+		for _, s := range []float64{0, 0.5, -1e-3} {
+			prev := make([]float64, len(c.a))
+			for i := range prev {
+				prev[i] = float64(i+1) * 0.125
+				if i%2 == 1 {
+					prev[i] = -prev[i]
+				}
+			}
+			want := make([]float64, len(c.a))
+			for i := range want {
+				want[i] = c.a[i] - s*prev[i]
+			}
+			got := append([]float64(nil), prev...)
+			norm := normFromMax(got, updateMax(got, c.a, s))
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s s=%g: entry %d is %x, want %x", c.name, s, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+			if ref := Norm2(want); math.Float64bits(norm) != math.Float64bits(ref) {
+				t.Errorf("%s s=%g: fused norm %g (%x), Norm2 %g (%x)", c.name, s, norm, math.Float64bits(norm), ref, math.Float64bits(ref))
+			}
+		}
+	}
+}
+
+// TestLSQRWorkReuseBitwise: one LSQRWork carried across solves of
+// different shapes, stalled and converged, must never change a result —
+// buffers are fully overwritten before being read.
+func TestLSQRWorkReuseBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(96))
+	var wk LSQRWork
+	for trial := 0; trial < 12; trial++ {
+		m, n := 4+r.Intn(24), 4+r.Intn(24)
+		s := sparseFromDense(randomSparseMatrix(r, m, n, 0.3))
+		b := make([]float64, m)
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		opts := LSQROptions{MaxIter: []int{0, 1, 3}[trial%3]}
+		want, wantRep, err := LSQR(s, b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Work = &wk
+		got, gotRep, err := LSQR(s, b, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotRep != wantRep {
+			t.Fatalf("trial %d: report %+v with reused work, fresh %+v", trial, gotRep, wantRep)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d: work reuse changed x[%d]: %g vs %g", trial, j, got[j], want[j])
+			}
+		}
+	}
+}

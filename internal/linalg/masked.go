@@ -45,6 +45,7 @@ func (m *RowMasked) Cols() int { return m.a.Cols() }
 // MulVecTo computes dst = A·x with dropped rows forced to zero.
 func (m *RowMasked) MulVecTo(dst, x []float64) {
 	m.a.MulVecTo(dst, x)
+	dst = dst[:len(m.keep)]
 	for i, k := range m.keep {
 		if !k {
 			dst[i] = 0
@@ -53,14 +54,15 @@ func (m *RowMasked) MulVecTo(dst, x []float64) {
 }
 
 // TMulVecTo computes dst = Aᵀ·x as if dropped rows of A were zero: their
-// x entries are zeroed before the transpose product, so they contribute
+// x entries are zeroed before the Aᵀ product, so they contribute
 // nothing to any column accumulation.
 func (m *RowMasked) TMulVecTo(dst, x []float64) {
+	x, scratch := x[:len(m.keep)], m.scratch[:len(m.keep)]
 	for i, k := range m.keep {
 		if k {
-			m.scratch[i] = x[i]
+			scratch[i] = x[i]
 		} else {
-			m.scratch[i] = 0
+			scratch[i] = 0
 		}
 	}
 	m.a.TMulVecTo(dst, m.scratch)

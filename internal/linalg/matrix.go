@@ -113,7 +113,7 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// T returns the transpose of m as a new matrix.
+// T returns mᵀ as a new matrix.
 func (m *Matrix) T() *Matrix {
 	out := NewMatrix(m.cols, m.rows)
 	for i := 0; i < m.rows; i++ {

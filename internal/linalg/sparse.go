@@ -3,7 +3,6 @@ package linalg
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Sparse is an immutable sparse matrix in compressed-sparse-row (CSR)
@@ -21,14 +20,6 @@ type Sparse struct {
 	rowPtr     []int     // len rows+1; row i spans [rowPtr[i], rowPtr[i+1])
 	colIdx     []int     // len nnz, column index per stored entry
 	val        []float64 // len nnz, entry values in row-major order
-
-	// trOnce/tr lazily cache the transpose in CSR form the first time
-	// LSQRMulti needs it, turning the blocked transpose product into a
-	// gather with register accumulators instead of a scatter. The cache
-	// keeps Sparse's concurrency contract: it is built at most once and
-	// never mutated afterwards.
-	trOnce sync.Once
-	tr     *Sparse
 }
 
 // Coord is one (row, col, value) entry in coordinate (triplet) form, the
@@ -144,68 +135,47 @@ func (s *Sparse) MulVec(x []float64) ([]float64, error) {
 
 // MulVecTo computes dst = s * x without allocating. It panics on shape
 // mismatch (the error-returning form is MulVec).
+//
+// The kernels below hold the CSR slices in locals and range over one
+// row's colIdx[lo:hi] and val[lo:hi], so the inner loop reads no field
+// through the receiver and keeps a bounds check only on the x[j]
+// gather (TMulVecTo: the dst[j] scatter). Each row's terms are summed
+// in stored order, the order every result of this repository is pinned
+// in.
 func (s *Sparse) MulVecTo(dst, x []float64) {
 	if len(x) != s.cols || len(dst) != s.rows {
 		panic(fmt.Sprintf("linalg: sparse MulVecTo %dx%d with x of %d, dst of %d", s.rows, s.cols, len(x), len(dst)))
 	}
-	for i := 0; i < s.rows; i++ {
+	rowPtr, colIdx, val := s.rowPtr, s.colIdx, s.val
+	for i := range dst {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols, vals := colIdx[lo:hi], val[lo:hi]
+		vals = vals[:len(cols)]
 		var acc float64
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			acc += s.val[k] * x[s.colIdx[k]]
+		for p, j := range cols {
+			acc += vals[p] * x[j]
 		}
 		dst[i] = acc
 	}
 }
 
-// transpose returns the cached CSR form of sᵀ, building it on first use.
-// Entries of transpose row j are ordered by ascending original row —
-// the same order in which TMulVecTo's scatter touches output j.
-func (s *Sparse) transpose() *Sparse {
-	s.trOnce.Do(func() {
-		t := &Sparse{
-			rows:   s.cols,
-			cols:   s.rows,
-			rowPtr: make([]int, s.cols+1),
-			colIdx: make([]int, len(s.val)),
-			val:    make([]float64, len(s.val)),
-		}
-		for _, j := range s.colIdx {
-			t.rowPtr[j+1]++
-		}
-		for j := 0; j < s.cols; j++ {
-			t.rowPtr[j+1] += t.rowPtr[j]
-		}
-		next := make([]int, s.cols)
-		copy(next, t.rowPtr[:s.cols])
-		for i := 0; i < s.rows; i++ {
-			for p := s.rowPtr[i]; p < s.rowPtr[i+1]; p++ {
-				j := s.colIdx[p]
-				t.colIdx[next[j]] = i
-				t.val[next[j]] = s.val[p]
-				next[j]++
-			}
-		}
-		s.tr = t
-	})
-	return s.tr
-}
-
-// TMulVecTo computes dst = sᵀ * x without allocating. It panics on shape
-// mismatch.
+// TMulVecTo computes dst = sᵀ * x without allocating, scattering each
+// row with a nonzero x[i] into dst. It panics on shape mismatch.
 func (s *Sparse) TMulVecTo(dst, x []float64) {
 	if len(x) != s.rows || len(dst) != s.cols {
 		panic(fmt.Sprintf("linalg: sparse TMulVecTo (%dx%d)ᵀ with x of %d, dst of %d", s.rows, s.cols, len(x), len(dst)))
 	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < s.rows; i++ {
-		xi := x[i]
+	clear(dst)
+	rowPtr, colIdx, val := s.rowPtr, s.colIdx, s.val
+	for i, xi := range x {
 		if xi == 0 {
 			continue
 		}
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			dst[s.colIdx[k]] += xi * s.val[k]
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		cols, vals := colIdx[lo:hi], val[lo:hi]
+		vals = vals[:len(cols)]
+		for p, j := range cols {
+			dst[j] += xi * vals[p]
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // SVD holds a thin singular value decomposition A = U·diag(S)·Vᵀ, where
 // for an m x n input with m >= n, U is m x n with orthonormal columns,
 // S has n non-negative entries in descending order, and V is n x n
-// orthogonal. Inputs with m < n are handled by decomposing the transpose.
+// orthogonal. Inputs with m < n are handled by decomposing mᵀ.
 type SVD struct {
 	U *Matrix
 	S []float64

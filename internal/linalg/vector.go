@@ -24,6 +24,12 @@ func Norm2(v []float64) float64 {
 			max = a
 		}
 	}
+	return normFromMax(v, max)
+}
+
+// normFromMax is Norm2's second pass: given max = max|v[i]|, it returns
+// max·sqrt(Σ (v[i]/max)²), or 0 when max is 0.
+func normFromMax(v []float64, max float64) float64 {
 	if max == 0 {
 		return 0
 	}

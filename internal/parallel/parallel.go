@@ -27,19 +27,6 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// BatchSize is the take rule for splitting pending consecutive items
-// among workers (Resolve semantics) in groups a blocked solve
-// accelerates: each worker's share ⌈pending/workers⌉, rounded up to a
-// multiple of four, at most maxBatch and never more than are pending. A
-// lone pending item is a batch of one. Pipeline workers take their
-// batches by it, and EstimateSeries cuts a series into chunks by it.
-func BatchSize(pending, workers, maxBatch int) int {
-	w := Resolve(workers)
-	share := (pending + w - 1) / w
-	share = (share + 3) &^ 3
-	return min(share, pending, maxBatch)
-}
-
 // ForEach runs fn(i) for every i in [0, n) using at most workers
 // goroutines (Resolve semantics: <= 0 means GOMAXPROCS). With one worker
 // it degrades to a plain loop on the calling goroutine — the exact legacy

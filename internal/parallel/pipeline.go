@@ -13,23 +13,18 @@ type Result[R any] struct {
 }
 
 // Pipeline is the streaming variant of the ordered worker pool: a fixed
-// set of workers maps an unbounded input stream through a batch
+// set of workers maps an unbounded input stream through a per-item
 // function, emitting one result per item on Out() in exact submission
-// order with bounded buffering. An idle worker takes a run of
-// consecutive pending items — a batch of at most maxBatch, sized by
-// BatchSize — and hands it to fn in one call, so a function that
-// amortizes work across items (a blocked solve) sees several at once
-// whenever the producer runs ahead of the workers. Submit blocks once
-// workers+buffer items are submitted and not yet collected for Out() —
-// backpressure propagates to the producer instead of growing an
-// unbounded queue.
+// order with bounded buffering. An idle worker takes the oldest pending
+// item. Submit blocks once workers+buffer items are submitted and not
+// yet collected for Out() — backpressure propagates to the producer
+// instead of growing an unbounded queue.
 //
-// Determinism contract (the streaming mirror of ForEach's): how items
-// are grouped into batches depends on timing, so for the output stream
-// to be bit-identical for any worker count — including workers=1 — fn
-// must produce for each item what it would produce for that item alone.
-// Results are reassembled in submission order; worker count and
-// batching tune wall-clock and nothing else.
+// Determinism contract (the streaming mirror of ForEach's): every item
+// is processed independently and results are reassembled in submission
+// order, so for a pure per-item fn the output stream is bit-identical
+// for any worker count, including workers=1. Worker count tunes
+// wall-clock and nothing else.
 //
 // Submit may be called from multiple goroutines; the output order is
 // then the serialization order of the Submit calls themselves (for a
@@ -37,8 +32,6 @@ type Result[R any] struct {
 // must not be called again; Out() drains the remaining in-flight items
 // and is then closed.
 type Pipeline[T, R any] struct {
-	workers  int
-	maxBatch int
 	// window holds one token per submitted, not yet collected item: the
 	// backpressure bound. Its capacity is the length of the rings below,
 	// so an item's ring index seq%len is free whenever Submit gets a
@@ -61,22 +54,18 @@ type Pipeline[T, R any] struct {
 }
 
 // NewPipeline starts a streaming ordered pool of Resolve(workers)
-// workers over fn, which fills out[i] (zeroed on entry) with the result
-// of items[i] for a batch of at most maxBatch items (values < 1 select
-// 1). buffer is the number of completed-but-uncollected results
-// tolerated beyond the worker count before Submit blocks; values < 0
-// select 0 (in-flight bounded by the worker count alone).
-func NewPipeline[T, R any](workers, buffer, maxBatch int, fn func(items []T, out []Result[R])) *Pipeline[T, R] {
+// workers over fn. buffer is the number of completed-but-uncollected
+// results tolerated beyond the worker count before Submit blocks;
+// values < 0 select 0 (in-flight bounded by the worker count alone).
+func NewPipeline[T, R any](workers, buffer int, fn func(T) (R, error)) *Pipeline[T, R] {
 	w := Resolve(workers)
 	size := w + max(buffer, 0)
 	p := &Pipeline[T, R]{
-		workers:  w,
-		maxBatch: max(maxBatch, 1),
-		window:   make(chan struct{}, size),
-		out:      make(chan Result[R]),
-		items:    make([]T, size),
-		results:  make([]Result[R], size),
-		filled:   make([]bool, size),
+		window:  make(chan struct{}, size),
+		out:     make(chan Result[R]),
+		items:   make([]T, size),
+		results: make([]Result[R], size),
+		filled:  make([]bool, size),
 	}
 	p.pendingC = sync.NewCond(&p.mu)
 	p.doneC = sync.NewCond(&p.mu)
@@ -90,14 +79,10 @@ func NewPipeline[T, R any](workers, buffer, maxBatch int, fn func(items []T, out
 	return p
 }
 
-// work is one worker's loop: take a batch of consecutive pending items,
-// run fn over it, store each result at its item's ring index.
-func (p *Pipeline[T, R]) work(fn func([]T, []Result[R])) {
-	var (
-		batch = make([]T, 0, p.maxBatch)
-		out   = make([]Result[R], p.maxBatch)
-		zero  T
-	)
+// work is one worker's loop: take the oldest pending item, run fn on
+// it, store the result at the item's ring index.
+func (p *Pipeline[T, R]) work(fn func(T) (R, error)) {
+	var zero T
 	size := len(p.items)
 	for {
 		p.mu.Lock()
@@ -108,27 +93,18 @@ func (p *Pipeline[T, R]) work(fn func([]T, []Result[R])) {
 			p.mu.Unlock()
 			return
 		}
-		first := p.taken
-		batch = batch[:BatchSize(p.submitted-first, p.workers, p.maxBatch)]
-		for i := range batch {
-			j := (first + i) % size
-			batch[i], p.items[j] = p.items[j], zero
-		}
-		p.taken += len(batch)
+		j := p.taken % size
+		v := p.items[j]
+		p.items[j] = zero
+		p.taken++
 		p.mu.Unlock()
 
-		res := out[:len(batch)]
-		fn(batch, res)
+		r, err := fn(v)
 
 		p.mu.Lock()
-		for i := range res {
-			j := (first + i) % size
-			p.results[j], p.filled[j] = res[i], true
-		}
+		p.results[j], p.filled[j] = Result[R]{Value: r, Err: err}, true
 		p.mu.Unlock()
 		p.doneC.Signal()
-		clear(batch)
-		clear(res)
 	}
 }
 

@@ -3,7 +3,6 @@ package parallel
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,19 +10,10 @@ import (
 	"ictm/internal/rng"
 )
 
-// perItem lifts a per-item function to the pipeline's batch shape.
-func perItem[T, R any](fn func(T) (R, error)) func([]T, []Result[R]) {
-	return func(vs []T, out []Result[R]) {
-		for i, v := range vs {
-			out[i].Value, out[i].Err = fn(v)
-		}
-	}
-}
-
-// pipeCollect streams n items through a fresh pipeline (batches of up
-// to 4) and returns the output stream in arrival order.
+// pipeCollect streams n items through a fresh pipeline and returns the
+// output stream in arrival order.
 func pipeCollect(workers, buffer, n int, fn func(int) (float64, error)) []Result[float64] {
-	p := NewPipeline(workers, buffer, 4, perItem(fn))
+	p := NewPipeline(workers, buffer, fn)
 	done := make(chan []Result[float64])
 	go func() {
 		var got []Result[float64]
@@ -134,10 +124,10 @@ func TestPipelineErrorsFlowInBand(t *testing.T) {
 func TestPipelineBackpressureBounds(t *testing.T) {
 	const workers, buffer = 2, 3
 	var started atomic.Int64
-	p := NewPipeline(workers, buffer, 4, perItem(func(i int) (int, error) {
+	p := NewPipeline(workers, buffer, func(i int) (int, error) {
 		started.Add(1)
 		return i, nil
-	}))
+	})
 	go func() {
 		for i := 0; i < 1000; i++ {
 			p.Submit(i)
@@ -168,129 +158,9 @@ func TestPipelineBackpressureBounds(t *testing.T) {
 
 // TestPipelineCloseEmpty: closing an unused pipeline must close Out.
 func TestPipelineCloseEmpty(t *testing.T) {
-	p := NewPipeline(4, 0, 4, perItem(func(i int) (int, error) { return i, nil }))
+	p := NewPipeline(4, 0, func(i int) (int, error) { return i, nil })
 	p.Close()
 	if _, ok := <-p.Out(); ok {
 		t.Fatal("Out open after Close on empty pipeline")
-	}
-}
-
-// TestPipelineBatchSize pins the take rule: a worker's share of the
-// pending items, rounded up to a multiple of four, capped by maxBatch
-// and by what is pending.
-func TestPipelineBatchSize(t *testing.T) {
-	cases := []struct{ workers, maxBatch, pending, want int }{
-		{1, 16, 1, 1},
-		{1, 16, 3, 3},
-		{1, 16, 9, 9},
-		{1, 16, 40, 16},
-		{2, 16, 1, 1},
-		{2, 16, 2, 2},
-		{2, 16, 3, 3},
-		{2, 16, 5, 4},
-		{2, 16, 6, 4},
-		{2, 16, 9, 8},
-		{2, 16, 16, 8},
-		{2, 16, 17, 12},
-		{2, 16, 40, 16},
-		{8, 16, 18, 4},
-		{2, 0, 10, 1}, // maxBatch < 1 selects 1
-	}
-	for _, c := range cases {
-		p := NewPipeline(c.workers, 0, c.maxBatch, perItem(func(i int) (int, error) { return i, nil }))
-		if got := BatchSize(c.pending, p.workers, p.maxBatch); got != c.want {
-			t.Errorf("workers=%d maxBatch=%d pending=%d: batch %d, want %d",
-				c.workers, c.maxBatch, c.pending, got, c.want)
-		}
-		p.Close()
-	}
-}
-
-// TestPipelineBatchesConsecutiveAndCapped: every batch fn sees is a run
-// of consecutive submitted items no longer than maxBatch, and batches of
-// more than one item form once the producer runs ahead of the workers.
-func TestPipelineBatchesConsecutiveAndCapped(t *testing.T) {
-	const n, maxBatch = 200, 6
-	for _, workers := range []int{1, 2, 8} {
-		var (
-			mu      sync.Mutex
-			batches [][]int
-		)
-		p := NewPipeline(workers, 16, maxBatch, func(vs []int, out []Result[int]) {
-			time.Sleep(200 * time.Microsecond) // let the producer run ahead
-			mu.Lock()
-			batches = append(batches, append([]int(nil), vs...))
-			mu.Unlock()
-			for i, v := range vs {
-				out[i].Value = v
-			}
-		})
-		done := make(chan int)
-		go func() {
-			next := 0
-			for r := range p.Out() {
-				if r.Value != next {
-					t.Errorf("workers=%d: slot %d holds %d", workers, next, r.Value)
-				}
-				next++
-			}
-			done <- next
-		}()
-		for i := 0; i < n; i++ {
-			p.Submit(i)
-		}
-		p.Close()
-		if got := <-done; got != n {
-			t.Fatalf("workers=%d: delivered %d of %d", workers, got, n)
-		}
-		widest, items := 0, 0
-		for _, b := range batches {
-			if len(b) == 0 || len(b) > maxBatch {
-				t.Fatalf("workers=%d: batch of %d (cap %d)", workers, len(b), maxBatch)
-			}
-			for i := 1; i < len(b); i++ {
-				if b[i] != b[i-1]+1 {
-					t.Fatalf("workers=%d: batch %v is not a consecutive run", workers, b)
-				}
-			}
-			widest = max(widest, len(b))
-			items += len(b)
-		}
-		if items != n {
-			t.Fatalf("workers=%d: batches carried %d of %d items", workers, items, n)
-		}
-		if widest < 2 {
-			t.Errorf("workers=%d: no batch of more than one item formed", workers)
-		}
-	}
-}
-
-// TestPipelineBatchErrorsInBand: an error on one item of a batch stays
-// on that item; the batch's other items and later batches deliver.
-func TestPipelineBatchErrorsInBand(t *testing.T) {
-	p := NewPipeline(1, 8, 8, func(vs []int, out []Result[int]) {
-		time.Sleep(100 * time.Microsecond)
-		for i, v := range vs {
-			out[i].Value = v
-			if v%5 == 3 {
-				out[i].Err = fmt.Errorf("item %d failed", v)
-			}
-		}
-	})
-	go func() {
-		for i := 0; i < 40; i++ {
-			p.Submit(i)
-		}
-		p.Close()
-	}()
-	n := 0
-	for r := range p.Out() {
-		if r.Value != n || (r.Err != nil) != (n%5 == 3) {
-			t.Fatalf("slot %d: (%d, %v)", n, r.Value, r.Err)
-		}
-		n++
-	}
-	if n != 40 {
-		t.Fatalf("drained %d of 40", n)
 	}
 }

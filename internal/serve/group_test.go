@@ -12,8 +12,8 @@ import (
 	"ictm/internal/synth"
 )
 
-// groupFixture is a 28-bin ISPLike(12) stream — long enough for a
-// worker to take groups of four and more — mixing clean bins with every
+// groupFixture is a 28-bin ISPLike(12) stream — long enough for the
+// workers to run ahead of the collector — mixing clean bins with every
 // per-bin defect the engine handles in band: lossy bins (a few Missing
 // links), one bin below the observability floor (prior fallback), one
 // wrong-length bin and one bin with a NaN marginal row.
@@ -86,12 +86,11 @@ func requireSameEstimate(t *testing.T, label string, got, want Estimate) {
 	}
 }
 
-// TestEngineGroupsMatchEstimateBinBitwise: a stream whose bins are
-// estimated in groups serves, for every bin, exactly what EstimateBin
-// returns for it alone — estimate bits, BinDiag and in-band error text —
-// for plain, weighted and SkipIPF sessions at 1, 2 and 8 workers. The
-// clean bins of plain and SkipIPF streams must actually have taken the
-// blocked LSQRMulti path.
+// TestEngineGroupsMatchEstimateBinBitwise: a stream whose bins spread
+// over the engine's workers serves, for every bin, exactly what
+// EstimateBin returns for it alone — estimate bits, BinDiag and in-band
+// error text — for plain, weighted and SkipIPF sessions at 1, 2 and 8
+// workers.
 func TestEngineGroupsMatchEstimateBinBitwise(t *testing.T) {
 	sc, rm, bins := groupFixture(t)
 	state := estimation.PriorState{Name: "ic-stable-f", F: 0.25}
@@ -116,7 +115,6 @@ func TestEngineGroupsMatchEstimateBinBitwise(t *testing.T) {
 		for i, b := range bins {
 			want[i] = referenceEstimate(ref, prior, rm, b)
 		}
-		var blocked int64
 		for _, workers := range []int{1, 2, 8} {
 			engine := NewEngine(workers)
 			if _, _, err := engine.RegisterTopology("isp", sc.Topology()); err != nil {
@@ -137,13 +135,6 @@ func TestEngineGroupsMatchEstimateBinBitwise(t *testing.T) {
 			for i := range got {
 				requireSameEstimate(t, fmt.Sprintf("%s workers=%d", ss.name, workers), got[i], want[i])
 			}
-			blocked += engine.blockedBins.Load()
-		}
-		switch {
-		case ss.weighted && blocked != 0:
-			t.Errorf("%s: %d bins took the blocked path, which implements only the unweighted projection", ss.name, blocked)
-		case !ss.weighted && blocked == 0:
-			t.Errorf("%s: no bin took the blocked LSQRMulti path", ss.name)
 		}
 	}
 }
@@ -151,7 +142,7 @@ func TestEngineGroupsMatchEstimateBinBitwise(t *testing.T) {
 // TestEngineConcurrentStreamsShareEstimator: several streams of one
 // registered session run at once over the one pooled Estimator (and its
 // solver's scratch pool) and each serves EstimateBin's bytes. Run under
-// -race, it covers the state the grouped path shares between streams.
+// -race, it covers the state the pooled solver shares between streams.
 func TestEngineConcurrentStreamsShareEstimator(t *testing.T) {
 	sc, rm, bins := groupFixture(t)
 	state := estimation.PriorState{Name: "gravity"}

@@ -25,10 +25,9 @@
 // and write failures leave the in-memory artifact authoritative.
 //
 // Determinism: estimation of one bin is a pure function of (topology,
-// prior state, options, bin) however the pipeline groups bins into
-// blocked solves, solvers are read-only after construction, and the
-// pipeline reassembles results in submission order — so the estimate
-// stream is bit-identical for any worker count. An estimate
+// prior state, options, bin), solvers are read-only after construction,
+// and the pipeline reassembles results in submission order — so the
+// estimate stream is bit-identical for any worker count. An estimate
 // served over HTTP equals Estimator.EstimateBin run in-process on the
 // same inputs, byte for byte; cmd/icserve's end-to-end tests enforce
 // this.
@@ -76,11 +75,6 @@ var ErrDraining = errors.New("serve: draining")
 // (On streaming paths the same defects stay in-band per-bin errors: the
 // response status is committed before the bad line arrives.)
 var ErrBadBin = errors.New("serve: invalid bin")
-
-// groupCap bounds how many of a stream's pending bins one worker takes
-// as a group (parallel.Pipeline's batch): the widest block
-// Estimator.EstimateBins solves in one LSQRMulti call.
-const groupCap = 16
 
 // defaultBuffer is the per-stream backpressure allowance beyond the
 // worker count: how many completed-but-unconsumed bins a stream may
@@ -304,10 +298,6 @@ type Engine struct {
 	binsMu    sync.Mutex
 	run       estimation.RunStats
 	binErrors int64
-	// blockedBins counts bins projected as lanes of a blocked LSQRMulti
-	// call (estimation.BinOutcome.Blocked). Engine-internal: it names a
-	// solve path, not an outcome, so it stays off the wire.
-	blockedBins atomic.Int64
 }
 
 // solverEntry is one topology's lazily-built estimation session. The
@@ -1027,13 +1017,9 @@ func (s *Stream) Out() <-chan Estimate { return s.out }
 // way (bins already solving run to completion — a solve is milliseconds
 // and its result may already be on the wire).
 //
-// A worker takes a stream's pending bins as a group of up to groupCap
-// and estimates it in one Estimator.EstimateBins call, which solves the
-// group's clean bins together in one blocked LSQRMulti call. Every bin's
-// estimate, diagnostics and error are those of EstimateBin on its own,
-// however bins are grouped. A bin is started when its group starts:
-// cancellation fails a whole group that has not started, and no bin of
-// a started group.
+// A worker takes a stream's oldest pending bin and estimates it with
+// Estimator.EstimateBin, so every bin's estimate, diagnostics and error
+// are those of EstimateBin on its own, for any worker count.
 func (e *Engine) Open(ctx context.Context, s SessionSpec) (*Stream, error) {
 	if err := e.checkAccepting(); err != nil {
 		return nil, err
@@ -1099,35 +1085,19 @@ func (e *Engine) open(ctx context.Context, base *estimation.Estimator, rm *routi
 	est := base.With(estimation.WithWeighted(weighted), estimation.WithSkipIPF(skipIPF))
 	e.streams.Add(1)
 
-	pipe := parallel.NewPipeline(e.workers, e.buffer, groupCap, func(bins []Bin, res []parallel.Result[Estimate]) {
-		ctxErr := ctx.Err()
-		obs := make([]estimation.Observation, 0, len(bins))
-		at := make([]int, 0, len(bins)) // res index of each obs entry
-		for i, b := range bins {
-			res[i].Value = Estimate{T: b.T}
-			if ctxErr != nil {
-				res[i].Err = fmt.Errorf("bin %d: %w", b.T, ctxErr)
-				continue
-			}
-			y, err := binObservation(b, rm)
-			if err != nil {
-				res[i].Err = err
-				continue
-			}
-			obs = append(obs, estimation.Observation{T: b.T, Y: y})
-			at = append(at, i)
+	pipe := parallel.NewPipeline(e.workers, e.buffer, func(b Bin) (Estimate, error) {
+		if err := ctx.Err(); err != nil {
+			return Estimate{T: b.T}, fmt.Errorf("bin %d: %w", b.T, err)
 		}
-		for j, o := range est.EstimateBins(prior, obs) {
-			r := &res[at[j]]
-			if o.Err != nil {
-				r.Err = o.Err
-				continue
-			}
-			if o.Blocked {
-				e.blockedBins.Add(1)
-			}
-			r.Value = Estimate{T: r.Value.T, N: rm.N, Estimate: o.Estimate.Vec(), Diag: o.Diag}
+		y, err := binObservation(b, rm)
+		if err != nil {
+			return Estimate{T: b.T}, err
 		}
+		x, diag, err := est.EstimateBin(prior, b.T, y)
+		if err != nil {
+			return Estimate{T: b.T}, err
+		}
+		return Estimate{T: b.T, N: rm.N, Estimate: x.Vec(), Diag: diag}, nil
 	})
 
 	out := make(chan Estimate)
